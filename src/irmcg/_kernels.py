@@ -1,64 +1,3 @@
-"""Double-precision kernels for packed symmetric matrices.
+"""Placeholder: the f64 matvec is ``A @ v`` in linalg; perfbench still imports this module."""
 
-The hot operation is the symmetric matrix-vector product over the
-packed lower triangle.  Two interchangeable implementations exist:
-
-* a JIT-compiled single pass (numba), used by default;
-* a pure NumPy fallback working row-slice by row-slice.
-
-Setting the environment variable IRMCG_NO_NUMBA (to any nonempty
-value) before import selects the fallback; it is also selected
-automatically when numba is not installed.  benchmarks/bench_kernels.py
-compares the two.
-"""
-
-import os
-
-import numpy as np
-
-USING_NUMBA = not os.environ.get("IRMCG_NO_NUMBA")
-
-if USING_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:
-        USING_NUMBA = False
-
-
-def symv_packed_numpy(ap, v):
-    """y = A v for A stored as packed lower triangle, NumPy fallback."""
-    n = v.shape[0]
-    y = np.zeros(n)
-    base = 0
-    for i in range(n):
-        row = ap[base:base + i + 1]
-        y[i] += row @ v[:i + 1]
-        y[:i] += row[:i] * v[i]
-        base += i + 1
-    return y
-
-
-def _symv_packed_loops(ap, v):
-    # Row i of the packed triangle contributes to y[i] (row part) and,
-    # through symmetry, to every y[j] with j < i (column part).
-    n = v.shape[0]
-    y = np.zeros(n)
-    k = 0
-    for i in range(n):
-        s = 0.0
-        for j in range(i):
-            a = ap[k]
-            s += a * v[j]
-            y[j] += a * v[i]
-            k += 1
-        y[i] += s + ap[k] * v[i]
-        k += 1
-    return y
-
-
-if USING_NUMBA:
-    symv_packed_jit = njit(cache=True)(_symv_packed_loops)
-    symv_packed = symv_packed_jit
-else:
-    symv_packed_jit = None
-    symv_packed = symv_packed_numpy
+USING_NUMBA = False

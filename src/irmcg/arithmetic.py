@@ -47,8 +47,11 @@ def rationalize(x):
 
 def demote(q):
     """Round an exact rational to the nearest binary64 (ties to even)."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     try:
-        return float(Fraction(q))
+        # Correctly rounded int division; float(q) does the same, more slowly.
+        return q.numerator / q.denominator
     except OverflowError:
         raise ScalarOverflow("%s does not fit in a double" % format_rational(q)) from None
 

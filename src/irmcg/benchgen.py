@@ -27,6 +27,7 @@ from .errors import (
     FormatError,
     InvalidRotation,
     InvalidStiffness,
+    IoError,
 )
 from .linalg import SymmetricMatrix, Vector, matvec
 
@@ -275,7 +276,7 @@ def read_spectrum_file(path):
         with open(path, "r") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
-        raise FormatError(str(exc)) from None
+        raise IoError(str(exc)) from None
     return parse_spectrum_lines(lines)
 
 
@@ -331,5 +332,8 @@ def write_spectrum_file(spec, path):
         lines.append("rhs explicit " + " ".join(str(v) for v in spec.rhs_values))
     else:
         lines.append("rhs ones")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise IoError(str(exc)) from None

@@ -2,20 +2,21 @@
 
 Everything here is generic over the two scalar backends from
 :mod:`irmcg.arithmetic`.  Exact data lives in tuples of Fractions;
-double data lives in read-only NumPy arrays, with the packed symmetric
-matvec delegated to :mod:`irmcg._kernels`.
+double data lives in read-only NumPy arrays.
 
-Storage is structural: a symmetric matrix is either a packed lower
-triangle (row-major, n(n+1)/2 scalars) or a diagonal (n scalars), so
-symmetry can never be violated by construction.
+A symmetric matrix is either dense or diagonal (n scalars).  Exact
+dense storage is the packed lower triangle (row-major, n(n+1)/2
+scalars), so symmetry holds by construction; double dense storage is
+the C-contiguous n x n square, checked symmetric on construction, so
+that matvec is one BLAS ``A @ v``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .arithmetic import (
     EXACT,
     F64,
@@ -48,6 +49,11 @@ def _tri(i):
     return i * (i + 1) // 2
 
 
+def _fractions(entries):
+    # Entries that are already Fractions are immutable and kept as they are.
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+
+
 class Vector:
     """Fixed-length vector over one scalar backend."""
 
@@ -55,7 +61,7 @@ class Vector:
 
     def __init__(self, entries, field):
         if field == EXACT:
-            data = tuple(Fraction(e) for e in entries)
+            data = _fractions(entries)
             if len(data) < 1:
                 raise DimensionError("vector must have length >= 1")
             self.data = data
@@ -115,10 +121,12 @@ class Vector:
 
 
 class SymmetricMatrix:
-    """Symmetric matrix stored as packed lower triangle or diagonal.
+    """Symmetric matrix: dense or diagonal, over one scalar backend.
 
-    The _spd slot caches the outcome of spd_check; it starts unknown
-    (None) and is the only mutable piece of state.
+    Exact dense data is the packed lower triangle; double dense data is
+    the read-only n x n square.  Diagonal data is the n diagonal entries
+    in both backends.  The _spd slot caches the outcome of spd_check; it
+    starts unknown (None) and is the only mutable piece of state.
     """
 
     __slots__ = ("kind", "n", "data", "field", "_spd")
@@ -128,9 +136,9 @@ class SymmetricMatrix:
             raise ValueError("unknown matrix kind %r" % kind)
         if n < 1:
             raise DimensionError("matrix order must be >= 1")
-        want = _tri(n) if kind == DENSE else n
         if field == EXACT:
-            entries = tuple(Fraction(e) for e in data)
+            want = _tri(n) if kind == DENSE else n
+            entries = _fractions(data)
             if len(entries) != want:
                 raise DimensionError(
                     "expected %d packed entries, got %d" % (want, len(entries))
@@ -138,12 +146,13 @@ class SymmetricMatrix:
             self.data = entries
         elif field == F64:
             arr = np.array(data, dtype=np.float64)
-            if arr.ndim != 1 or arr.shape[0] != want:
-                raise DimensionError(
-                    "expected %d packed entries, got %d" % (want, arr.size)
-                )
+            want = (n, n) if kind == DENSE else (n,)
+            if arr.shape != want:
+                raise DimensionError("expected shape %s, got %s" % (want, arr.shape))
             if not np.all(np.isfinite(arr)):
                 raise InvalidScalar("matrix contains NaN or infinity")
+            if kind == DENSE and not np.array_equal(arr, arr.T):
+                raise ValueError("matrix is not symmetric")
             arr.flags.writeable = False
             self.data = arr
         else:
@@ -154,13 +163,22 @@ class SymmetricMatrix:
         self._spd = None
 
     @classmethod
+    def _adopt_f64(cls, kind, arr):
+        """Wrap a finite, symmetric float64 array built by this module, uncopied."""
+        arr.flags.writeable = False
+        out = cls.__new__(cls)
+        out.kind, out.n, out.data, out.field, out._spd = kind, arr.shape[0], arr, F64, None
+        return out
+
+    @classmethod
     def diagonal(cls, entries, field=EXACT):
         entries = list(entries)
         return cls(DIAGONAL, len(entries), entries, field)
 
     @classmethod
-    def dense(cls, packed, n, field=EXACT):
-        return cls(DENSE, n, packed, field)
+    def dense(cls, data, n, field=EXACT):
+        """Dense matrix from its storage: packed triangle (exact) or square (f64)."""
+        return cls(DENSE, n, data, field)
 
     @classmethod
     def from_rows(cls, rows, field=EXACT):
@@ -172,6 +190,8 @@ class SymmetricMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric at (%d, %d)" % (i, j))
+        if field == F64:
+            return cls(DENSE, n, rows, F64)
         packed = [rows[i][j] for i in range(n) for j in range(i + 1)]
         return cls(DENSE, n, packed, field)
 
@@ -182,6 +202,8 @@ class SymmetricMatrix:
             if i == j:
                 return self.data[i]
             return ZERO if self.field == EXACT else 0.0
+        if self.field == F64:
+            return self.data[i, j]
         if j > i:
             i, j = j, i
         return self.data[_tri(i) + j]
@@ -189,22 +211,16 @@ class SymmetricMatrix:
     def diag(self):
         if self.kind == DIAGONAL:
             return list(self.data)
+        if self.field == F64:
+            return list(self.data.diagonal())
         return [self.data[_tri(i) + i] for i in range(self.n)]
 
     def full(self):
-        """Expand to a full square representation (small n only)."""
+        """Full square copy: a writable ndarray (f64) or a list of rows (exact)."""
         if self.field == F64:
-            out = np.zeros((self.n, self.n))
             if self.kind == DIAGONAL:
-                np.fill_diagonal(out, self.data)
-            else:
-                k = 0
-                for i in range(self.n):
-                    for j in range(i + 1):
-                        out[i, j] = self.data[k]
-                        out[j, i] = self.data[k]
-                        k += 1
-            return out
+                return np.diag(self.data)
+            return self.data.copy()
         return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def __eq__(self, other):
@@ -292,7 +308,7 @@ def add_to_entry(v, index, delta):
 
 
 def matvec(A, v):
-    """Product A v, exploiting the packed symmetric layout in one pass."""
+    """Product A v: one BLAS product (f64), one pass over the packed triangle (exact)."""
     field = _want_same_field(A, v)
     if A.n != len(v):
         raise DimensionError("matrix order %d vs vector length %d" % (A.n, len(v)))
@@ -301,7 +317,7 @@ def matvec(A, v):
             return Vector([d * x for d, x in zip(A.data, v.data)], EXACT)
         return Vector(A.data * v.data, F64)
     if field == F64:
-        return Vector(_kernels.symv_packed(A.data, v.data), F64)
+        return Vector(A.data @ v.data, F64)
     n = A.n
     out = [ZERO] * n
     k = 0
@@ -334,6 +350,8 @@ class RitzSystem:
             raise ValueError("projected system size %d outside 1..%d" % (m, M_MAX))
         if len(abar) != m or any(len(row) != m for row in abar):
             raise DimensionError("abar is not %d x %d" % (m, m))
+        if field == F64 and not all(map(math.isfinite, itertools.chain(rbar, *abar))):
+            raise InvalidScalar("projected system contains NaN or infinity")
         for i in range(m):
             for j in range(i):
                 if abar[i][j] != abar[j][i]:
@@ -426,7 +444,7 @@ def spd_check(A):
         ok = _spd_exact(A)
     else:
         try:
-            np.linalg.cholesky(A.full())
+            np.linalg.cholesky(A.data)
             ok = True
         except np.linalg.LinAlgError:
             ok = False
@@ -462,44 +480,23 @@ def energy(A, b, x):
     return half * dot(x, matvec(A, x)) - dot(x, b)
 
 
-def _power_iter(F, rng, max_iter=20000, tol=1e-14):
-    n = F.shape[0]
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = F @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        new = float(v @ w)
-        v = w / norm
-        if abs(new - lam) <= tol * max(abs(new), 1.0):
-            return new
-        lam = new
-    return lam
-
-
 def condition_estimate(A):
     """Ratio of extreme eigenvalues as a double.
 
-    Exact for the diagonal representation; a power-iteration estimate
-    (dominant eigenvalue, then the shifted complement for the smallest)
-    for dense matrices.  Callers should label dense results as estimates.
+    Exact for the diagonal representation; for dense matrices the
+    symmetric eigensolver's extreme eigenvalues of the double matrix
+    (the demoted one in the exact backend), so callers should label
+    dense results as estimates.
     """
     ensure_spd(A)
     if A.kind == DIAGONAL:
         if A.field == EXACT:
             return demote(max(A.data) / min(A.data))
         return float(np.max(A.data) / np.min(A.data))
-    F = A.full() if A.field == F64 else demote_matrix(A).full()
-    rng = np.random.default_rng(7)
-    lam_max = _power_iter(F, rng)
-    shift = lam_max * (1.0 + 1e-6)
-    lam_min = shift - _power_iter(shift * np.eye(A.n) - F, rng)
-    if lam_min <= 0.0:
+    eig = np.linalg.eigvalsh(demote_matrix(A).data)
+    if eig[0] <= 0.0:
         return math.inf
-    return lam_max / lam_min
+    return float(eig[-1] / eig[0])
 
 
 def demote_vector(v):
@@ -511,7 +508,19 @@ def demote_vector(v):
 def demote_matrix(A):
     if A.field == F64:
         return A
-    out = SymmetricMatrix(A.kind, A.n, [demote(e) for e in A.data], F64)
+    n = A.n
+    if A.kind == DIAGONAL:
+        arr = np.fromiter(map(demote, A.data), np.float64, n)
+    else:
+        # Row by row into the square: no packed intermediate of n^2/2 entries.
+        arr = np.empty((n, n))
+        k = 0
+        for i in range(n):
+            row = np.fromiter(map(demote, A.data[k:k + i + 1]), np.float64, i + 1)
+            arr[i, :i + 1] = row
+            arr[:i + 1, i] = row
+            k += i + 1
+    out = SymmetricMatrix._adopt_f64(A.kind, arr)
     out._spd = A._spd
     return out
 
@@ -525,7 +534,11 @@ def rationalize_vector(v):
 def rationalize_matrix(A):
     if A.field == EXACT:
         return A
-    out = SymmetricMatrix(A.kind, A.n, [rationalize(e) for e in A.data], EXACT)
+    if A.kind == DIAGONAL:
+        entries = A.data.tolist()
+    else:
+        entries = [e for i in range(A.n) for e in A.data[i, :i + 1].tolist()]
+    out = SymmetricMatrix(A.kind, A.n, [rationalize(e) for e in entries], EXACT)
     out._spd = A._spd
     return out
 
@@ -584,7 +597,9 @@ def read_matrix(path):
     body = tokens[2:]
     if len(body) != want:
         raise FormatError("expected %d entries, found %d" % (want, len(body)))
-    return SymmetricMatrix(kind, n, [parse_rational(t) for t in body], EXACT)
+    # Parse each distinct literal once; dict order reports the first bad one.
+    values = {t: parse_rational(t) for t in dict.fromkeys(body)}
+    return SymmetricMatrix(kind, n, [values[t] for t in body], EXACT)
 
 
 def read_vector(path):

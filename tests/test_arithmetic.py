@@ -62,6 +62,16 @@ class TestDemote:
         with pytest.raises(ScalarOverflow):
             demote(F(10) ** 400)
 
+    @pytest.mark.parametrize("big", [-F(10) ** 400, F(10**400, 3), 10**400])
+    def test_overflow_signed_fractional_and_int(self, big):
+        with pytest.raises(ScalarOverflow):
+            demote(big)
+
+    @given(st.integers(-(2**1000), 2**1000), st.integers(1, 2**1100))
+    def test_matches_float_of_fraction(self, num, den):
+        q = F(num, den)
+        assert struct.pack("<d", demote(q)) == struct.pack("<d", float(q))
+
     @given(finite)
     def test_round_trip_is_identity(self, x):
         back = demote(rationalize(x))

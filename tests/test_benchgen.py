@@ -27,6 +27,7 @@ from irmcg.errors import (
     FormatError,
     InvalidRotation,
     InvalidStiffness,
+    IoError,
 )
 from irmcg.linalg import (
     SymmetricMatrix,
@@ -292,6 +293,15 @@ class TestSpectrumFormats:
         path = tmp_path / "spec.txt"
         write_spectrum_file(spec, path)
         assert read_spectrum_file(path) == spec
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            read_spectrum_file(tmp_path / "absent.txt")
+
+    def test_unwritable_path_is_io_error(self, tmp_path):
+        spec = SpectrumSpec(((2, 1, True),))
+        with pytest.raises(IoError):
+            write_spectrum_file(spec, tmp_path / "no-such-dir" / "spec.txt")
 
     def test_file_requires_rhs_line(self, tmp_path):
         path = tmp_path / "spec.txt"

@@ -308,6 +308,19 @@ class TestManifest:
         assert run_manifest(manifest, out=second) == EXIT_OK
         assert first.getvalue() == second.getvalue()
 
+    def test_f64_rerun_is_byte_identical(self, tmp_path, capsys):
+        a_path, b_path, _ = gen_system(
+            tmp_path, capsys, "--spectrum", "1x3,7/2x2,90x3", "--rotate", "12", "--seed", "5"
+        )
+        manifest = manifest_from_argv(
+            ["solve", a_path, b_path, "--arith", "f64", "--eps", "1e-12", "--method", "cg"]
+        )
+        first, second = io.StringIO(), io.StringIO()
+        assert run_manifest(manifest, out=first) == EXIT_OK
+        assert run_manifest(manifest, out=second) == EXIT_OK
+        assert "# arith DP" in first.getvalue()
+        assert first.getvalue() == second.getvalue()
+
     def test_usage_exit_codes(self, capsys):
         assert run([], capsys)[0] == EXIT_USAGE
         assert run(["solve"], capsys)[0] == EXIT_USAGE

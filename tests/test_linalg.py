@@ -17,6 +17,7 @@ from irmcg.errors import (
     SingularRitzSystem,
 )
 from irmcg.linalg import (
+    DENSE,
     RitzSystem,
     SymmetricMatrix,
     Vector,
@@ -134,6 +135,47 @@ class TestMatvec:
         dp = matvec(demote_matrix(A), Vector.f64(v))
         assert np.allclose(dp.data, [float(e) for e in exact.data], rtol=1e-14)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 23, 40])
+    def test_f64_dense_matches_oracle(self, n):
+        rng = random.Random(n)
+        A = random_spd(rng, n)
+        v = [F(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+        want = np.array([float(e) for e in oracles.full_matvec(oracles.unpack(A), v)])
+        got = matvec(demote_matrix(A), demote_vector(Vector.exact(v))).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestF64Storage:
+    def test_dense_is_square_read_only_and_symmetric(self):
+        A = demote_matrix(random_spd(random.Random(3), 5))
+        assert A.data.shape == (5, 5) and A.data.flags.c_contiguous
+        assert np.array_equal(A.data, A.data.T)
+        with pytest.raises(ValueError):
+            A.data[0, 1] = 7.0
+        assert A.entry(3, 1) == A.entry(1, 3) == A.data[3, 1]
+        assert A.diag() == list(np.diagonal(A.data))
+
+    def test_full_is_a_writable_copy(self):
+        A = SymmetricMatrix.from_rows([[2.0, 1.0], [1.0, 3.0]], F64)
+        full = A.full()
+        full[0, 0] = 9.0
+        assert A.entry(0, 0) == 2.0
+
+    def test_rejects_asymmetric_square(self):
+        with pytest.raises(ValueError):
+            SymmetricMatrix(DENSE, 2, [[1.0, 2.0], [3.0, 1.0]], F64)
+
+    def test_rejects_wrong_shape_and_non_finite(self):
+        with pytest.raises(DimensionError):
+            SymmetricMatrix(DENSE, 2, [1.0, 0.0, 1.0], F64)
+        with pytest.raises(InvalidScalar):
+            SymmetricMatrix(DENSE, 1, [[float("inf")]], F64)
+
+    def test_exact_constructors_keep_fractions(self):
+        q = F(2, 3)
+        assert Vector.exact([q, 1]).data[0] is q
+        assert SymmetricMatrix.diagonal([q, 1]).data[0] is q
+
 
 class TestSmallSolve:
     def test_diagonal_2x2(self):
@@ -150,6 +192,15 @@ class TestSmallSolve:
     def test_f64_singular(self):
         with pytest.raises(SingularRitzSystem):
             small_solve(RitzSystem([[0.0]], [1.0], F64))
+
+    @pytest.mark.parametrize("abar, rbar", [
+        ([[1.0, float("nan")], [float("nan"), 1.0]], [1.0, 1.0]),
+        ([[float("nan"), 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0]], [float("inf")]),
+    ])
+    def test_f64_non_finite_rejected(self, abar, rbar):
+        with pytest.raises(InvalidScalar):
+            RitzSystem(abar, rbar, F64)
 
     def test_f64_partial_pivot(self):
         got = small_solve(RitzSystem([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0], F64))
@@ -250,6 +301,20 @@ class TestConversions:
         back = rationalize_matrix(demote_matrix(A))
         assert back == A
 
+    @pytest.mark.parametrize("A", [
+        SymmetricMatrix.from_rows([[F(1, 3), F(-1, 10), 0], [F(-1, 10), 7, F(2, 9)],
+                                   [0, F(2, 9), F(10**30, 7)]]),
+        SymmetricMatrix.diagonal([F(1, 3), F(-5, 11)]),
+    ])
+    def test_rationalize_keeps_the_bits(self, A):
+        D = demote_matrix(A)
+        back = rationalize_matrix(D)
+        assert back.kind == A.kind and back.field == EXACT
+        for i in range(A.n):
+            for j in range(A.n):
+                assert back.entry(i, j) == F(float(D.entry(i, j)))
+        assert demote_matrix(back) == D
+
     def test_vector_round_trip(self):
         v = Vector.exact([F(1, 2), 3])
         assert rationalize_vector(demote_vector(v)) == v
@@ -288,6 +353,15 @@ class TestFiles:
         path = tmp_path / "bad.txt"
         path.write_text("symmetric 2\n1\n")
         with pytest.raises(FormatError):
+            read_matrix(path)
+
+    def test_first_malformed_entry_is_reported(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("symmetric 3\n1\nzz 1\n0.5 zz 1\n")
+        with pytest.raises(FormatError, match="'zz'"):
+            read_matrix(path)
+        path.write_text("symmetric 2\n1\n0.5 zz\n")
+        with pytest.raises(FormatError, match="'0.5'"):
             read_matrix(path)
 
     def test_decimal_entries_rejected(self, tmp_path):
