@@ -26,6 +26,11 @@ ExactRational = Fraction
 EXACT = "exact"
 F64 = "f64"
 
+# The scalar type of each backend.  It coerces scalar arguments, and as a
+# NumPy dtype (Fraction maps to object) it fixes the storage of vectors.
+# Coercion matters: a Fraction times a float64 array is an object array.
+SCALAR = {EXACT: Fraction, F64: float}
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

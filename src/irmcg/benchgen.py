@@ -105,32 +105,39 @@ class SpectrumSpec:
         return sum(1 for _, _, active in self.items if active)
 
 
-def _rhs_for(spec):
-    if spec.rhs_rule == RHS_EXPLICIT:
-        return list(spec.rhs_values)
+def rhs_entries(rule, values, seed, active):
+    """Right-hand side under one rule; active[k] says whether entry k is loaded.
+
+    ``explicit`` returns values as given; otherwise unloaded entries are
+    zero and loaded ones are 1 (``ones``) or seeded integers in
+    [-9, -1] and [1, 9] (``random``).
+    """
+    if rule == RHS_EXPLICIT:
+        if len(values) != len(active):
+            raise DimensionError(
+                "explicit rhs has %d entries for n = %d" % (len(values), len(active))
+            )
+        return list(values)
     out = []
-    rng = random.Random(spec.rhs_seed) if spec.rhs_rule == RHS_RANDOM else None
-    for _, mult, active in spec.items:
-        for _ in range(mult):
-            if not active:
-                out.append(ZERO)
-            elif rng is None:
-                out.append(Fraction(1))
-            else:
-                out.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9)))
+    rng = random.Random(seed) if rule == RHS_RANDOM else None
+    for loaded in active:
+        if not loaded:
+            out.append(ZERO)
+        elif rng is None:
+            out.append(Fraction(1))
+        else:
+            out.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 9)))
     return out
 
 
 def gen_diagonal(spec):
     """Realize the spectrum directly: (diagonal matrix, rhs, m)."""
-    diag = []
-    for eig, mult, _ in spec.items:
+    diag, active = [], []
+    for eig, mult, loaded in spec.items:
         diag.extend([eig] * mult)
-    return (
-        SymmetricMatrix.diagonal(diag),
-        Vector.exact(_rhs_for(spec)),
-        spec.m,
-    )
+        active.extend([loaded] * mult)
+    b = rhs_entries(spec.rhs_rule, spec.rhs_values, spec.rhs_seed, active)
+    return SymmetricMatrix.diagonal(diag), Vector.exact(b), spec.m
 
 
 @dataclass(frozen=True)

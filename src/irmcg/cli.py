@@ -8,15 +8,17 @@ re-running a manifest reproduces the output byte for byte.
 
 Exit codes: 0 solved, 1 step limit hit without convergence, 2 usage or
 malformed input, 3 matrix not SPD, 4 bit budget exceeded, 5 traces not
-comparable.
+comparable, 6 numerical failure (an f64 overflow or NaN, a singular
+projected system, a breakdown, or a generator with no usable vectors).
 """
 
 import argparse
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import benchgen
 from .analysis import (
@@ -36,11 +38,16 @@ from .errors import (
     DimensionError,
     ExactRequired,
     FormatError,
+    GeneratorError,
     IncomparableTraces,
     InvalidRotation,
+    InvalidScalar,
     InvalidStiffness,
     IoError,
     NotSPD,
+    NumericalBreakdown,
+    ScalarOverflow,
+    SingularRitzSystem,
     ZeroInitialResidual,
 )
 from .linalg import (
@@ -64,6 +71,7 @@ EXIT_USAGE = 2
 EXIT_NOT_SPD = 3
 EXIT_BUDGET = 4
 EXIT_INCOMPARABLE = 5
+EXIT_NUMERICAL = 6
 
 _USAGE_ERRORS = (
     FormatError,
@@ -75,6 +83,14 @@ _USAGE_ERRORS = (
     DiagonalRequired,
     ZeroInitialResidual,
     ValueError,
+)
+
+_NUMERICAL_ERRORS = (
+    InvalidScalar,
+    ScalarOverflow,
+    SingularRitzSystem,
+    NumericalBreakdown,
+    GeneratorError,
 )
 
 
@@ -159,19 +175,15 @@ def manifest_from_argv(argv):
     return RunManifest(subcommand=ns.subcommand, options=options)
 
 
-def _parse_rhs_option(text, n, seed):
+def _parse_rhs_option(text, seed):
+    """--rhs as the (rule, values, seed) that benchgen.rhs_entries takes."""
     if text == "ones":
-        return Vector.exact([1] * n)
+        return benchgen.RHS_ONES, None, None
     if text == "random":
-        rng = random.Random(seed)
-        return Vector.exact(
-            [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(n)]
-        )
+        return benchgen.RHS_RANDOM, None, seed
     if text.startswith("explicit:"):
-        values = [parse_decimal(v) for v in text[len("explicit:"):].split(",")]
-        if len(values) != n:
-            raise FormatError("explicit rhs has %d entries for n = %d" % (len(values), n))
-        return Vector.exact(values)
+        values = tuple(parse_decimal(v) for v in text[len("explicit:"):].split(","))
+        return benchgen.RHS_EXPLICIT, values, None
     raise FormatError("bad --rhs %r" % text)
 
 
@@ -180,6 +192,7 @@ def _run_gen(opts, out):
     if sum(s is not None for s in sources) != 1:
         raise FormatError("give exactly one of --spectrum, --spectrum-file, --chain")
     seed = opts.get("seed", 0)
+    rule, values, rhs_seed = _parse_rhs_option(opts.get("rhs", "ones"), seed)
     outdir = opts["out"]
     os.makedirs(outdir, exist_ok=True)
     m = None
@@ -189,17 +202,8 @@ def _run_gen(opts, out):
         n = opts["chain"]
         ks = [parse_decimal(t) for t in opts["stiff"].split(",")]
         A = benchgen.gen_spring_chain(n, ks)
-        b = _parse_rhs_option(opts.get("rhs", "ones"), n, seed)
+        b = Vector.exact(benchgen.rhs_entries(rule, values, rhs_seed, [True] * n))
     else:
-        rhs = opts.get("rhs", "ones")
-        rule, values, rhs_seed = benchgen.RHS_ONES, None, None
-        if rhs == "random":
-            rule, rhs_seed = benchgen.RHS_RANDOM, seed
-        elif rhs.startswith("explicit:"):
-            rule = benchgen.RHS_EXPLICIT
-            values = tuple(parse_decimal(v) for v in rhs[len("explicit:"):].split(","))
-        elif rhs != "ones":
-            raise FormatError("bad --rhs %r" % rhs)
         if opts.get("spectrum") is not None:
             spec = benchgen.parse_spectrum_inline(
                 opts["spectrum"], rhs_rule=rule, rhs_values=values, rhs_seed=rhs_seed
@@ -249,9 +253,12 @@ def _run_solve(opts, out):
         bit_budget=BitBudget(opts.get("max_bits", 1_000_000)),
         record_energy=not opts.get("no_energy", False),
     )
-    _, trace = solve(
-        A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts.get("seed", 0)
-    )
+    # An f64 overflow is reported once, as exit 6, by the lane's own
+    # finiteness checks; NumPy's warnings about it would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, trace = solve(
+            A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts.get("seed", 0)
+        )
     destination = opts.get("out")
     if destination is None:
         emit_csv(trace, out)
@@ -324,6 +331,9 @@ def main(argv=None):
     except IncomparableTraces as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCOMPARABLE
+    except _NUMERICAL_ERRORS as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERICAL
     except _USAGE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

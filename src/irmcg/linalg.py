@@ -1,14 +1,19 @@
 """Vectors, symmetric matrices, the small projected solve, and energy.
 
 Everything here is generic over the two scalar backends from
-:mod:`irmcg.arithmetic`.  Exact data lives in tuples of Fractions;
-double data lives in read-only NumPy arrays.
+:mod:`irmcg.arithmetic`.  A vector is a read-only 1-D NumPy array in
+both: float64 for f64, dtype object holding Fractions for exact.  The
+vector operations are therefore written once; the backend only picks
+the scalar type that arguments and inner products are coerced to.
 
-A symmetric matrix is either dense or diagonal (n scalars).  Exact
-dense storage is the packed lower triangle (row-major, n(n+1)/2
-scalars), so symmetry holds by construction; double dense storage is
-the C-contiguous n x n square, checked symmetric on construction, so
-that matvec is one BLAS ``A @ v``.
+A symmetric matrix is either dense or diagonal (n scalars, stored like
+a vector).  Exact dense storage is the packed lower triangle as a tuple
+of Fractions (row-major, n(n+1)/2 scalars), so symmetry holds by
+construction and matvec is one pass that skips zero entries: object
+``@`` on a square skips none and is 20x to 40x slower on spring chains
+(n = 100 to 1000).  f64 dense storage is the C-contiguous
+n x n square, checked symmetric on construction, so that matvec is one
+BLAS ``A @ v``.
 """
 
 import itertools
@@ -20,10 +25,9 @@ import numpy as np
 from .arithmetic import (
     EXACT,
     F64,
-    ONE,
+    SCALAR,
     ZERO,
     demote,
-    format_rational,
     parse_rational,
     rationalize,
     snap_zero,
@@ -54,27 +58,29 @@ def _fractions(entries):
     return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
+def _array(entries, field, what):
+    """Read-only array of the backend's scalars: float64 or object Fractions."""
+    if field == EXACT:
+        entries = _fractions(entries)
+    elif field != F64:
+        raise ValueError("unknown field %r" % field)
+    arr = np.array(entries, dtype=SCALAR[field])
+    if field == F64 and not np.all(np.isfinite(arr)):
+        raise InvalidScalar("%s contains NaN or infinity" % what)
+    arr.flags.writeable = False
+    return arr
+
+
 class Vector:
     """Fixed-length vector over one scalar backend."""
 
     __slots__ = ("data", "field")
 
     def __init__(self, entries, field):
-        if field == EXACT:
-            data = _fractions(entries)
-            if len(data) < 1:
-                raise DimensionError("vector must have length >= 1")
-            self.data = data
-        elif field == F64:
-            arr = np.array(entries, dtype=np.float64)
-            if arr.ndim != 1 or arr.shape[0] < 1:
-                raise DimensionError("vector must have length >= 1")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidScalar("vector contains NaN or infinity")
-            arr.flags.writeable = False
-            self.data = arr
-        else:
-            raise ValueError("unknown field %r" % field)
+        arr = _array(entries, field, "vector")
+        if arr.ndim != 1 or arr.shape[0] < 1:
+            raise DimensionError("vector must have length >= 1")
+        self.data = arr
         self.field = field
 
     @classmethod
@@ -87,9 +93,7 @@ class Vector:
 
     @classmethod
     def zeros(cls, n, field):
-        if field == EXACT:
-            return cls([ZERO] * n, EXACT)
-        return cls(np.zeros(n), F64)
+        return cls(np.full(n, SCALAR[field](0)), field)
 
     def __len__(self):
         return len(self.data)
@@ -103,10 +107,6 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector) or other.field != self.field:
             return NotImplemented
-        if len(self) != len(other):
-            return False
-        if self.field == EXACT:
-            return self.data == other.data
         return bool(np.array_equal(self.data, other.data))
 
     __hash__ = None
@@ -115,18 +115,17 @@ class Vector:
         return "Vector(%s, %s)" % (list(self.data), self.field)
 
     def is_zero(self):
-        if self.field == EXACT:
-            return all(e == 0 for e in self.data)
-        return not np.any(self.data)
+        return not self.data.any()
 
 
 class SymmetricMatrix:
     """Symmetric matrix: dense or diagonal, over one scalar backend.
 
-    Exact dense data is the packed lower triangle; double dense data is
-    the read-only n x n square.  Diagonal data is the n diagonal entries
-    in both backends.  The _spd slot caches the outcome of spd_check; it
-    starts unknown (None) and is the only mutable piece of state.
+    Exact dense data is the packed lower triangle; f64 dense data is the
+    read-only n x n square.  Diagonal data is the n diagonal entries,
+    stored as a vector's data is.  The _spd slot caches the outcome of
+    spd_check; it starts unknown (None) and is the only mutable piece of
+    state.
     """
 
     __slots__ = ("kind", "n", "data", "field", "_spd")
@@ -136,27 +135,20 @@ class SymmetricMatrix:
             raise ValueError("unknown matrix kind %r" % kind)
         if n < 1:
             raise DimensionError("matrix order must be >= 1")
-        if field == EXACT:
-            want = _tri(n) if kind == DENSE else n
-            entries = _fractions(data)
-            if len(entries) != want:
+        if kind == DENSE and field == EXACT:
+            data = _fractions(data)
+            if len(data) != _tri(n):
                 raise DimensionError(
-                    "expected %d packed entries, got %d" % (want, len(entries))
+                    "expected %d packed entries, got %d" % (_tri(n), len(data))
                 )
-            self.data = entries
-        elif field == F64:
-            arr = np.array(data, dtype=np.float64)
-            want = (n, n) if kind == DENSE else (n,)
-            if arr.shape != want:
-                raise DimensionError("expected shape %s, got %s" % (want, arr.shape))
-            if not np.all(np.isfinite(arr)):
-                raise InvalidScalar("matrix contains NaN or infinity")
-            if kind == DENSE and not np.array_equal(arr, arr.T):
-                raise ValueError("matrix is not symmetric")
-            arr.flags.writeable = False
-            self.data = arr
         else:
-            raise ValueError("unknown field %r" % field)
+            data = _array(data, field, "matrix")
+            want = (n, n) if kind == DENSE else (n,)
+            if data.shape != want:
+                raise DimensionError("expected shape %s, got %s" % (want, data.shape))
+            if kind == DENSE and not np.array_equal(data, data.T):
+                raise ValueError("matrix is not symmetric")
+        self.data = data
         self.kind = kind
         self.n = n
         self.field = field
@@ -199,9 +191,7 @@ class SymmetricMatrix:
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise DimensionError("index out of range")
         if self.kind == DIAGONAL:
-            if i == j:
-                return self.data[i]
-            return ZERO if self.field == EXACT else 0.0
+            return self.data[i] if i == j else SCALAR[self.field](0)
         if self.field == F64:
             return self.data[i, j]
         if j > i:
@@ -228,8 +218,6 @@ class SymmetricMatrix:
             return NotImplemented
         if (self.kind, self.n, self.field) != (other.kind, other.n, other.field):
             return False
-        if self.field == EXACT:
-            return self.data == other.data
         return bool(np.array_equal(self.data, other.data))
 
     __hash__ = None
@@ -238,96 +226,67 @@ class SymmetricMatrix:
         return "SymmetricMatrix(%s, n=%d, %s)" % (self.kind, self.n, self.field)
 
 
-def _want_same_field(*objs):
-    fields = {o.field for o in objs}
-    if len(fields) != 1:
+def _lane(a, v):
+    """Backend shared by a (vector or matrix) and vector v; sizes must agree."""
+    if a.field != v.field:
         raise DimensionError("mixed scalar backends in one operation")
-    return fields.pop()
+    size = a.n if isinstance(a, SymmetricMatrix) else len(a)
+    if size != len(v):
+        raise DimensionError("size %d vs length %d" % (size, len(v)))
+    return a.field
 
 
 def dot(u, v):
     """Inner product u . v in the common backend."""
-    field = _want_same_field(u, v)
-    if len(u) != len(v):
-        raise DimensionError("length %d vs %d" % (len(u), len(v)))
-    if field == EXACT:
-        acc = ZERO
-        for a, b in zip(u.data, v.data):
-            acc += a * b
-        return acc
-    return float(np.dot(u.data, v.data))
+    field = _lane(u, v)
+    return SCALAR[field](np.dot(u.data, v.data))
 
 
 def vadd(u, v):
-    field = _want_same_field(u, v)
-    if len(u) != len(v):
-        raise DimensionError("length %d vs %d" % (len(u), len(v)))
-    if field == EXACT:
-        return Vector([a + b for a, b in zip(u.data, v.data)], EXACT)
-    return Vector(u.data + v.data, F64)
+    return Vector(u.data + v.data, _lane(u, v))
 
 
 def vsub(u, v):
-    field = _want_same_field(u, v)
-    if len(u) != len(v):
-        raise DimensionError("length %d vs %d" % (len(u), len(v)))
-    if field == EXACT:
-        return Vector([a - b for a, b in zip(u.data, v.data)], EXACT)
-    return Vector(u.data - v.data, F64)
+    return Vector(u.data - v.data, _lane(u, v))
 
 
 def vscale(c, v):
-    if v.field == EXACT:
-        c = Fraction(c)
-        return Vector([c * a for a in v.data], EXACT)
-    return Vector(float(c) * v.data, F64)
+    return Vector(SCALAR[v.field](c) * v.data, v.field)
 
 
 def add_scaled(u, c, v):
-    """u + c * v without forming the intermediate scaled vector."""
-    field = _want_same_field(u, v)
-    if len(u) != len(v):
-        raise DimensionError("length %d vs %d" % (len(u), len(v)))
-    if field == EXACT:
-        c = Fraction(c)
-        return Vector([a + c * b for a, b in zip(u.data, v.data)], EXACT)
-    return Vector(u.data + float(c) * v.data, F64)
+    """u + c * v in the common backend."""
+    field = _lane(u, v)
+    return Vector(u.data + SCALAR[field](c) * v.data, field)
 
 
 def add_to_entry(v, index, delta):
     """Copy of v with delta added to one 0-based component."""
     if not (0 <= index < len(v)):
         raise DimensionError("component index out of range")
-    if v.field == EXACT:
-        entries = list(v.data)
-        entries[index] = entries[index] + Fraction(delta)
-        return Vector(entries, EXACT)
     arr = v.data.copy()
-    arr[index] += float(delta)
-    return Vector(arr, F64)
+    arr[index] += SCALAR[v.field](delta)
+    return Vector(arr, v.field)
 
 
 def matvec(A, v):
-    """Product A v: one BLAS product (f64), one pass over the packed triangle (exact)."""
-    field = _want_same_field(A, v)
-    if A.n != len(v):
-        raise DimensionError("matrix order %d vs vector length %d" % (A.n, len(v)))
+    """Product A v: elementwise (diagonal), BLAS (f64 dense), packed pass (exact dense)."""
+    field = _lane(A, v)
     if A.kind == DIAGONAL:
-        if field == EXACT:
-            return Vector([d * x for d, x in zip(A.data, v.data)], EXACT)
-        return Vector(A.data * v.data, F64)
+        return Vector(A.data * v.data, field)
     if field == F64:
         return Vector(A.data @ v.data, F64)
     n = A.n
+    x = v.data.tolist()
     out = [ZERO] * n
     k = 0
     for i in range(n):
         s = ZERO
-        vi = v.data[i]
+        vi = x[i]
         for j in range(i):
             a = A.data[k]
             if a:
-                s += a * v.data[j]
+                s += a * x[j]
                 out[j] += a * vi
             k += 1
         out[i] += s + A.data[k] * vi
@@ -356,12 +315,9 @@ class RitzSystem:
             for j in range(i):
                 if abar[i][j] != abar[j][i]:
                     raise ValueError("abar is not symmetric")
-        if field == EXACT:
-            self.abar = tuple(tuple(Fraction(e) for e in row) for row in abar)
-            self.rbar = tuple(Fraction(e) for e in rbar)
-        else:
-            self.abar = tuple(tuple(float(e) for e in row) for row in abar)
-            self.rbar = tuple(float(e) for e in rbar)
+        scalar = SCALAR[field]
+        self.abar = tuple(tuple(map(scalar, row)) for row in abar)
+        self.rbar = tuple(map(scalar, rbar))
         self.m = m
         self.field = field
 
@@ -476,7 +432,7 @@ def ensure_spd(A):
 
 def energy(A, b, x):
     """Quadratic objective (1/2) x.Ax - x.b, minimized at the solution."""
-    half = Fraction(1, 2) if x.field == EXACT else 0.5
+    half = SCALAR[x.field](1) / 2
     return half * dot(x, matvec(A, x)) - dot(x, b)
 
 

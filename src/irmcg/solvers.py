@@ -26,7 +26,6 @@ updates it recursively otherwise.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .analysis import (
     StepRecord,
     tag_for,
 )
-from .arithmetic import EXACT, BitBudget
+from .arithmetic import EXACT, SCALAR, BitBudget
 from .errors import (
     BudgetExceeded,
     DimensionError,
@@ -115,16 +114,12 @@ class SolverConfig:
 
     def resolved(self, field, n):
         """Copy with backend-typed scalars and concrete defaults."""
-        if field == EXACT:
-            omega, epsilon = Fraction(self.omega), Fraction(self.epsilon)
-            refresh = DEFAULT_REFRESH_EXACT
-        else:
-            omega, epsilon = float(self.omega), float(self.epsilon)
-            refresh = DEFAULT_REFRESH_F64
+        scalar = SCALAR[field]
+        refresh = DEFAULT_REFRESH_EXACT if field == EXACT else DEFAULT_REFRESH_F64
         return replace(
             self,
-            omega=omega,
-            epsilon=epsilon,
+            omega=scalar(self.omega),
+            epsilon=scalar(self.epsilon),
             refresh_k=self.refresh_k if self.refresh_k is not None else refresh,
             max_steps=self.max_steps if self.max_steps is not None else 100 * n,
         )
@@ -184,12 +179,7 @@ class CoordinateGenerator:
         elif self.id == GEN_RESIDUAL_INCREMENT:
             cand = [r, p]
         else:
-            diag = A.diag()
-            if r.field == EXACT:
-                scaled = Vector([e / d for e, d in zip(r.data, diag)], EXACT)
-            else:
-                scaled = Vector(r.data / np.asarray(diag), r.field)
-            cand = [scaled, p]
+            cand = [Vector(r.data / np.asarray(A.diag()), r.field), p]
         out = [v for v in cand if not v.is_zero()]
         if not out:
             raise GeneratorError("generator %r emitted no nonzero vectors" % self.id)

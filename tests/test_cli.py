@@ -11,6 +11,7 @@ from irmcg.cli import (
     EXIT_INCOMPARABLE,
     EXIT_NOT_CONVERGED,
     EXIT_NOT_SPD,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     RunManifest,
@@ -84,6 +85,15 @@ class TestGen:
             "--rhs", "random", "--seed", "5",
         )
         assert read_vector(b1) == read_vector(b2)
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--chain", "6", "--stiff", "1,2,3,1,2,3,1"], ["--spectrum", "1x3,2x3"]],
+    )
+    def test_random_rhs_entries_are_pinned(self, tmp_path, capsys, source):
+        gen_system(tmp_path, capsys, *source, "--rhs", "random", "--seed", "5")
+        written = (tmp_path / "sys" / "b.txt").read_text().split()
+        assert written == "vector 6 6 -8 -1 -2 8 -7".split()
 
     def test_malformed_spectrum(self, tmp_path, capsys):
         code, _, err = run(
@@ -184,6 +194,20 @@ class TestSolve:
         assert code == EXIT_NOT_CONVERGED
         assert "# termination max_steps" in out
         assert "step limit" in err
+
+    @pytest.mark.parametrize("method", ["irm-cg", "irm"])
+    def test_numerical_failure_exit(self, tmp_path, capsys, method):
+        spectrum = ",".join("%dx5" % k for k in range(1, 13))
+        a_path, b_path, _ = gen_system(
+            tmp_path, capsys, "--spectrum", spectrum, "--rotate", "180", "--seed", "2551"
+        )
+        code, _, err = run(
+            ["solve", a_path, b_path, "--arith", "f64", "--method", method,
+             "--omega", "19/10", "--eps", "1e-10", "-o", str(tmp_path / "t.csv")],
+            capsys,
+        )
+        assert code == EXIT_NUMERICAL
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_snap_zero_restores_one_step_convergence(self, tmp_path, capsys):
         a = tmp_path / "A.txt"

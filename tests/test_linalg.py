@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from irmcg.arithmetic import EXACT, F64, rationalize
+from irmcg.arithmetic import EXACT, F64, demote, rationalize
 from irmcg.benchgen import RotationPlan, SpectrumSpec, gen_rotated
 from irmcg.errors import (
     DimensionError,
@@ -70,9 +70,16 @@ class TestVector:
             Vector.f64([1.0, float("nan")])
 
     def test_f64_storage_is_read_only(self):
-        v = Vector.f64([1.0, 2.0])
-        with pytest.raises(ValueError):
-            v.data[0] = 3.0
+        for field in (F64, EXACT):
+            v = Vector([1, 2], field)
+            for arr in (
+                v.data,
+                vadd(v, v).data,
+                add_to_entry(v, 0, 1).data,
+                SymmetricMatrix.diagonal([1, 2], field).data,
+            ):
+                with pytest.raises(ValueError):
+                    arr[0] = 3
 
     def test_algebra(self):
         u = Vector.exact([1, 2])
@@ -87,6 +94,43 @@ class TestVector:
     def test_mixed_fields_rejected(self):
         with pytest.raises(DimensionError):
             dot(Vector.exact([1]), Vector.f64([1.0]))
+
+
+# Dyadic entries are exact in f64, so the two lanes must agree bit for
+# bit.  The scalar is a Fraction in both lanes; none of the results is -0.
+LANE_U = [F(1, 2), F(-3, 4), F(5), F(0), F(7, 8)]
+LANE_V = [F(-1, 4), F(3, 2), F(0), F(9, 16), F(1)]
+LANE_D = [F(2), F(1, 4), F(3), F(1, 2), F(1)]
+LANE_C = F(3, 4)
+LANE_OPS = {
+    "dot": lambda u, v, D: dot(u, v),
+    "vadd": lambda u, v, D: vadd(u, v),
+    "vsub": lambda u, v, D: vsub(u, v),
+    "vscale": lambda u, v, D: vscale(LANE_C, v),
+    "add_scaled": lambda u, v, D: add_scaled(u, LANE_C, v),
+    "add_to_entry": lambda u, v, D: add_to_entry(u, 3, LANE_C),
+    "matvec_diagonal": lambda u, v, D: matvec(D, u),
+    "is_zero": lambda u, v, D: (u.is_zero(), vsub(u, u).is_zero()),
+    "eq": lambda u, v, D: (u == v, u == vadd(u, Vector.zeros(len(u), u.field))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(LANE_OPS))
+def test_lanes_agree_bit_for_bit(op):
+    exact, f64 = (
+        LANE_OPS[op](
+            Vector(LANE_U, field), Vector(LANE_V, field), SymmetricMatrix.diagonal(LANE_D, field)
+        )
+        for field in (EXACT, F64)
+    )
+    if isinstance(exact, Vector):
+        assert exact.data.dtype == object and f64.data.dtype == np.float64
+        assert demote_vector(exact).data.tobytes() == f64.data.tobytes()
+    elif isinstance(exact, tuple):
+        assert exact == f64 and all(type(e) is bool for e in exact + f64)
+    else:
+        assert type(exact) is F and type(f64) is float
+        assert demote(exact).hex() == f64.hex()
 
 
 class TestMatvec:
