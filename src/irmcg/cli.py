@@ -127,8 +127,8 @@ def _build_parser():
     gen.add_argument("--stiff", help="comma-separated spring stiffnesses for --chain")
     gen.add_argument(
         "--rhs",
-        default="ones",
-        help="ones | random | explicit:v1,v2,... (default ones)",
+        default=None,
+        help="ones | random | explicit:v1,v2,... (default ones; a spectrum file sets its own)",
     )
     gen.add_argument("--rotate", type=int, default=0, help="number of seeded rotations")
     gen.add_argument("--seed", type=int, default=0, help="64-bit seed")
@@ -191,8 +191,13 @@ def _run_gen(opts, out):
     sources = [opts.get("spectrum"), opts.get("spectrum_file"), opts.get("chain")]
     if sum(s is not None for s in sources) != 1:
         raise FormatError("give exactly one of --spectrum, --spectrum-file, --chain")
+    rhs = opts.get("rhs")
+    if opts.get("spectrum_file") is not None and rhs is not None:
+        raise FormatError(
+            "--rhs does not apply to --spectrum-file: the file's rhs line sets the right-hand side"
+        )
     seed = opts.get("seed", 0)
-    rule, values, rhs_seed = _parse_rhs_option(opts.get("rhs", "ones"), seed)
+    rule, values, rhs_seed = _parse_rhs_option("ones" if rhs is None else rhs, seed)
     outdir = opts["out"]
     os.makedirs(outdir, exist_ok=True)
     m = None

@@ -27,18 +27,21 @@ from .arithmetic import (
     F64,
     SCALAR,
     ZERO,
+    BitBudget,
     demote,
     parse_rational,
     rationalize,
     snap_zero,
 )
 from .errors import (
+    BudgetExceeded,
     DimensionError,
     ExactRequired,
     FormatError,
     InvalidScalar,
     IoError,
     NotSPD,
+    ScalarOverflow,
     SingularRitzSystem,
 )
 
@@ -387,17 +390,54 @@ def small_solve(sys):
     return Vector(_small_solve_f64(list(map(list, sys.abar)), list(sys.rbar), sys.m), F64)
 
 
-def spd_check(A):
+def spd_check(A, budget=BitBudget()):
     """True iff A is symmetric positive definite; caches the result on A.
 
-    Exact backend: all pivots of the LDL^T factorization are positive
-    (a zero or negative pivot proves a nonpositive leading minor).
-    Double backend: Cholesky factorization success.
+    f64 backend: Cholesky factorization success.  Diagonal matrices:
+    every entry positive.  Exact dense backend: a floating-point
+    certificate, then the exact test only if the certificate cannot
+    decide.
+
+    Certificate (S. M. Rump, "Verification of positive definiteness",
+    BIT 46, 2006).  Demote A to A_f, pick a float shift c a little above
+    the bound B below, and factor At = fl(A_f - c I) with LAPACK's
+    Cholesky.  If that succeeds, the computed factor L satisfies
+    L L^T = At + Delta with |Delta| <= g_k |L| |L^T| (N. J. Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm 10.3,
+    with k = n + 1 there), so ||Delta||_2 <= g_k ||L||_F^2
+    <= g_k/(1 - g_k) tr(At); with a term for underflow in Rump's form,
+
+        B = g_k/(1 - g_k) tr(At) + 4k(2k + max_i At_ii) eta,
+        g_k = k u/(1 - k u),  k = n + 2,  u = 2^-53,  eta = 2^-1022.
+
+    L L^T is semidefinite, so lambda_min(At) >= -B.  With R = A - At,
+    computed exactly over the packed triangle, Weyl's and Gershgorin's
+    theorems give lambda_min(A) >= min_i (R_ii - sum_{j != i} |R_ij|) - B,
+    and A is proven positive definite when that is > 0, which is checked
+    in exact rationals.
+
+    Why the bound covers NumPy's LAPACK: Thm 10.3 rests on Lemma 8.4,
+    which holds for any order of evaluating each inner product; a
+    blocked or recursive dpotrf sums the same products in another order
+    (its panel updates are partial sums), and a fused multiply-add only
+    drops a rounding.  k = n + 2 rather than n + 1 leaves room for one
+    more rounding per entry, for kernels that divide by multiplying with
+    a reciprocal.  eta, the smallest normal double, bounds the error of
+    one underflow whether the hardware underflows gradually or flushes
+    to zero.
+
+    The certificate says "positive definite" or nothing, so it never
+    changes the decision.  When it says nothing (an entry outside the
+    double range, a nonpositive demoted diagonal entry, a failed
+    factorization or a failed check), the exact test decides: an LDL^T
+    factorization with all pivots positive (a zero or negative pivot
+    proves a nonpositive leading minor).  Its pivots are held to
+    ``budget``; a larger one raises BudgetExceeded.
     """
     if A.kind == DIAGONAL:
         ok = all(d > 0 for d in A.data)
     elif A.field == EXACT:
-        ok = _spd_exact(A)
+        ok = _spd_certificate(A) or _spd_exact(A, budget)
     else:
         try:
             np.linalg.cholesky(A.data)
@@ -408,13 +448,72 @@ def spd_check(A):
     return ok
 
 
-def _spd_exact(A):
+# Unit roundoff of binary64 and the smallest normal double.
+_U = Fraction(1, 2**53)
+_ETA = Fraction(1, 2**1022)
+
+
+def _cholesky_error_bound(n, trace, max_diag):
+    """Bound on ||Delta||_2 for a floating Cholesky (see spd_check).
+
+    Exact for Fraction arguments; a float (possibly inf) for floats.
+    """
+    k = n + 2
+    g = k * _U / (1 - k * _U)
+    return g / (1 - g) * trace + 4 * k * (2 * k + max_diag) * _ETA
+
+
+def _spd_certificate(A):
+    """True if a shifted floating Cholesky proves exact dense A positive definite."""
+    try:
+        Af = demote_matrix(A).data
+    except ScalarOverflow:
+        return False
+    n = A.n
+    diag = Af.diagonal().tolist()
+    if min(diag) <= 0:
+        return False
+    with np.errstate(over="ignore"):
+        widest_row = float(np.abs(Af).sum(axis=1).max())
+    # A little above the bound checked below, plus one row's demotion error.
+    c = 1.0625 * (_cholesky_error_bound(n, sum(diag), max(diag)) + 2 * _U * widest_row)
+    if not math.isfinite(c):
+        return False
+    At = Af - c * np.eye(n)
+    try:
+        np.linalg.cholesky(At)
+    except np.linalg.LinAlgError:
+        return False
+    # R = A - At over the packed triangle; off the diagonal only the
+    # demotion error of nonzero entries.
+    radius = [ZERO] * n
+    r_diag = []
+    k = 0
+    for i, row in enumerate(At.tolist()):
+        for j, a in enumerate(A.data[k:k + i]):
+            if a:
+                r = abs(a - Fraction(row[j]))
+                radius[i] += r
+                radius[j] += r
+        k += i
+        r_diag.append(A.data[k] - Fraction(row[i]))
+        k += 1
+    t_diag = [Fraction(x) for x in At.diagonal().tolist()]
+    bound = _cholesky_error_bound(n, sum(t_diag), max(t_diag))
+    return min(d - r for d, r in zip(r_diag, radius)) > bound
+
+
+def _spd_exact(A, budget):
     n = A.n
     work = [[A.entry(i, j) for j in range(n)] for i in range(n)]
     for k in range(n):
         d = work[k][k]
         if d <= 0:
             return False
+        try:
+            budget.check(d)
+        except BudgetExceeded as exc:
+            raise BudgetExceeded("SPD check, pivot %d: %s" % (k + 1, exc)) from None
         for i in range(k + 1, n):
             f = work[i][k] / d
             if f:
@@ -423,9 +522,9 @@ def _spd_exact(A):
     return True
 
 
-def ensure_spd(A):
+def ensure_spd(A, budget=BitBudget()):
     if A._spd is None:
-        spd_check(A)
+        spd_check(A, budget)
     if not A._spd:
         raise NotSPD("matrix failed the SPD check")
 

@@ -197,14 +197,15 @@ def _check_budget(state, cfg):
             budget.check(entry)
 
 
-def init(A, b, x0):
+def init(A, b, x0, budget=BitBudget()):
     """Steepest-descent initialisation shared by all three methods.
 
     r0 = b - A x0; p0 = q r0 with q = (r0.r0)/(r0.A r0); beta0 = q (A r0)
     comes for free from the q computation.  A zero initial residual
-    marks the state converged without evaluating q.
+    marks the state converged without evaluating q.  ``budget`` bounds
+    the exact SPD check of A (BudgetExceeded past it).
     """
-    ensure_spd(A)
+    ensure_spd(A, budget)
     if A.n != len(b) or A.n != len(x0):
         raise DimensionError("system dimensions do not agree")
     r0 = vsub(b, matvec(A, x0))
@@ -437,7 +438,7 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
             records=records,
         )
 
-    state = init(A, b, x0)
+    state = init(A, b, x0, rcfg.bit_budget)
     if state.converged and state.i == 0:
         return state.x, trace_for(ZERO_INITIAL_RESIDUAL, [])
     hit0 = _apply_perturbations(state, A, perturbations, 0)

@@ -117,6 +117,17 @@ class TestGen:
         )
         assert code == EXIT_USAGE
 
+    def test_spectrum_file_sets_its_own_rhs(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("1 1 active\n2 1 active\nrhs explicit 3 4\n")
+        argv = ["gen", "--spectrum-file", str(spec), "-o", str(tmp_path / "sys")]
+        code, _, err = run(argv + ["--rhs", "random", "--seed", "4"], capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: --rhs") and "rhs line" in err
+        code, _, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        assert [str(e) for e in read_vector(str(tmp_path / "sys" / "b.txt"))] == ["3", "4"]
+
 
 class TestSolve:
     def test_exact_diag_converges(self, tmp_path, capsys):
@@ -185,6 +196,19 @@ class TestSolve:
         assert code == EXIT_BUDGET
         assert "budget" in err
         assert "# termination budget_exceeded" in out
+
+    def test_spd_gate_budget_exit(self, tmp_path, capsys):
+        # lambda_min = 2^-60 defeats the float certificate; the exact
+        # LDL^T pivots of this system reach 370 bits.
+        a_path, b_path, _ = gen_system(
+            tmp_path, capsys, "--spectrum", "1/1152921504606846976x1,1x5,2x5,3x5",
+            "--rotate", "48", "--seed", "7",
+        )
+        code, out, err = run(["solve", a_path, b_path, "--max-bits", "300"], capsys)
+        assert code == EXIT_BUDGET and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: SPD check")
+        code, _, _ = run(["solve", a_path, b_path, "--no-energy"], capsys)
+        assert code == EXIT_OK
 
     def test_step_cap_exit(self, tmp_path, capsys):
         a_path, b_path, _ = gen_system(tmp_path, capsys, "--spectrum", "2x1,5x1")

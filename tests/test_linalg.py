@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from irmcg.arithmetic import EXACT, F64, demote, rationalize
-from irmcg.benchgen import RotationPlan, SpectrumSpec, gen_rotated
+from irmcg.arithmetic import EXACT, F64, BitBudget, demote, rationalize
+from irmcg.benchgen import (
+    RotationPlan,
+    SpectrumSpec,
+    gen_rotated,
+    gen_spring_chain,
+    random_plan,
+)
 from irmcg.errors import (
+    BudgetExceeded,
     DimensionError,
     ExactRequired,
     FormatError,
@@ -43,8 +50,10 @@ from irmcg.linalg import (
     write_matrix,
     write_vector,
 )
+from irmcg.linalg import _spd_certificate, _spd_exact
 
 small_ints = st.integers(min_value=-9, max_value=9)
+small_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 
 
 def random_spd(rng, n):
@@ -297,6 +306,110 @@ class TestSpdCheck:
         if any(x):
             rows = oracles.unpack(A)
             assert oracles.vdot(x, oracles.full_matvec(rows, x)) > 0
+
+
+@st.composite
+def small_symmetric(draw):
+    """Exact symmetric matrix, n <= 5: a Gram matrix B^T B + sI or arbitrary entries.
+
+    B has k <= n rows, so k < n gives a rank-deficient Gram matrix; the
+    shift s makes it definite, leaves it semidefinite or tips it over.
+    """
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        B = [[draw(small_fractions) for _ in range(n)] for _ in range(k)]
+        s = draw(st.sampled_from((F(0), F(1), F(1, 2**40), F(1, 2**60), -F(1, 2**40))))
+        rows = [
+            [sum((B[r][i] * B[r][j] for r in range(k)), F(0)) + (s if i == j else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+    else:
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = draw(small_fractions)
+    return SymmetricMatrix.from_rows(rows)
+
+
+def rotated_near_singular(lam_min, shift=0, seed=7):
+    """Spectrum {lam_min, 1 (x5), 2 (x5), 3 (x5)} after 48 seeded rotations, minus shift I."""
+    spec = SpectrumSpec(((lam_min, 1, True), (1, 5, True), (2, 5, True), (3, 5, True)))
+    A, _, _ = gen_rotated(spec, random_plan(spec.n, 48, seed))
+    rows = oracles.unpack(A)
+    for i in range(A.n):
+        rows[i][i] -= shift
+    return SymmetricMatrix.from_rows(rows)
+
+
+class TestSpdCertificate:
+    """The float certificate proves SPD or says nothing; spd_check's decision is exact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_symmetric())
+    def test_decision_is_sylvester(self, A):
+        sylvester = all(m > 0 for m in oracles.leading_minors(oracles.unpack(A)))
+        assert not _spd_certificate(A) or sylvester
+        assert spd_check(A) is sylvester
+
+    @pytest.mark.parametrize("exponent, certified", [(20, True), (40, True), (60, False)])
+    def test_rotated_small_eigenvalue(self, exponent, certified):
+        A = rotated_near_singular(F(1, 2**exponent))
+        assert _spd_certificate(A) is certified
+        assert spd_check(A) is True
+
+    def test_rotated_barely_indefinite(self):
+        # lambda_min = -2^-60: a Cholesky of the demoted matrix accepts some of these.
+        naive = []
+        for seed in range(7, 17):
+            A = rotated_near_singular(F(1, 2**60), F(1, 2**59), seed)
+            try:
+                np.linalg.cholesky(demote_matrix(A).data)
+                naive.append(True)
+            except np.linalg.LinAlgError:
+                naive.append(False)
+            assert _spd_certificate(A) is False
+            assert _spd_exact(A, BitBudget()) is False
+            assert spd_check(A) is False
+        assert any(naive)
+
+    def test_free_free_laplacian_is_semidefinite(self):
+        n = 200
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = F(1) if i in (0, n - 1) else F(2)
+            if i:
+                rows[i][i - 1] = rows[i - 1][i] = F(-1)
+        A = SymmetricMatrix.from_rows(rows)
+        assert _spd_certificate(A) is False
+        assert spd_check(A) is False
+
+    def test_long_chain_is_certified(self):
+        A = gen_spring_chain(1000, [1, 2, 3] * 333 + [1, 2])
+        assert _spd_certificate(A) is True
+        assert spd_check(A) is True
+
+    def test_entry_beyond_double_range(self):
+        A = SymmetricMatrix.from_rows([[10**400, 1], [1, 1]])
+        assert _spd_certificate(A) is False
+        assert spd_check(A) is True
+
+    @pytest.mark.parametrize("off, expected", [(F(1, 10**330), True), (F(1, 10**150), False)])
+    def test_subnormal_entries(self, off, expected):
+        A = SymmetricMatrix.from_rows([[F(1, 10**320), off], [off, 1]])
+        assert (oracles.leading_minors(oracles.unpack(A))[1] > 0) is expected
+        assert _spd_exact(A, BitBudget()) is expected
+        assert not _spd_certificate(A) or expected
+        assert spd_check(A) is expected
+
+    def test_exact_fallback_is_under_the_budget(self):
+        # Entries reach 207 bits, the LDL^T pivots 370 bits.
+        A = rotated_near_singular(F(1, 2**60))
+        with pytest.raises(BudgetExceeded, match="pivot"):
+            spd_check(A, BitBudget(300))
+        assert A._spd is None
+        assert spd_check(A, BitBudget()) is True
 
 
 class TestEnergy:
