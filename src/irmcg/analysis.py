@@ -140,7 +140,7 @@ def count_active(D, b):
         raise DiagonalRequired("count_active needs the diagonal representation")
     if D.n != len(b):
         raise DimensionError("matrix order %d vs vector length %d" % (D.n, len(b)))
-    return len({d for d, be in zip(D.data, b.data) if be != 0})
+    return len({d for d, be in zip(D.diag(), b.data) if be != 0})
 
 
 @dataclass(frozen=True)

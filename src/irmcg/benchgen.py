@@ -188,9 +188,7 @@ def gen_rotated(spec, plan):
     """
     D, b, m = gen_diagonal(spec)
     n = D.n
-    full = [[ZERO] * n for _ in range(n)]
-    for idx in range(n):
-        full[idx][idx] = D.data[idx]
+    full = D.full()
     rhs = list(b.data)
     for i, j, c, s in plan.steps:
         if i >= n or j >= n:
@@ -232,14 +230,11 @@ def gen_spring_chain(n, stiffnesses):
         raise DimensionError("need %d stiffnesses for %d masses" % (n + 1, n))
     if any(k <= 0 for k in ks):
         raise InvalidStiffness("stiffnesses must be strictly positive")
-    packed = []
-    for i in range(n):
-        row = [ZERO] * (i + 1)
-        row[i] = ks[i] + ks[i + 1]
-        if i > 0:
-            row[i - 1] = -ks[i]
-        packed.extend(row)
-    return SymmetricMatrix.dense(packed, n)
+    # The diagonal, then the entries (i, i - 1) below it.
+    rows = list(range(n)) + list(range(1, n))
+    cols = list(range(n)) + list(range(n - 1))
+    values = [ks[i] + ks[i + 1] for i in range(n)] + [-ks[i] for i in range(1, n)]
+    return SymmetricMatrix(n, rows, cols, values)
 
 
 # ---------------------------------------------------------------------------

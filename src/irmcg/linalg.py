@@ -6,14 +6,14 @@ both: float64 for f64, dtype object holding Fractions for exact.  The
 vector operations are therefore written once; the backend only picks
 the scalar type that arguments and inner products are coerced to.
 
-A symmetric matrix is either dense or diagonal (n scalars, stored like
-a vector).  Exact dense storage is the packed lower triangle as a tuple
-of Fractions (row-major, n(n+1)/2 scalars), so symmetry holds by
-construction and matvec is one pass that skips zero entries: object
-``@`` on a square skips none and is 20x to 40x slower on spring chains
-(n = 100 to 1000).  f64 dense storage is the C-contiguous
-n x n square, checked symmetric on construction, so that matvec is one
-BLAS ``A @ v``.
+A symmetric matrix is stored alike in both backends, as compressed
+sparse rows of its full pattern with ``data`` stored as a vector's is.
+So one matvec, ``np.add.reduceat(data * v[indices], indptr[:-1])``,
+serves both: f64 sums each row's products in ``add.reduceat`` order,
+not BLAS order, except for a matrix with all n^2 entries stored, whose
+data is its row-major square and goes to BLAS.  Dense algorithms (the
+certificate and the f64 check of the SPD gate, the eigenvalue
+estimate) work on the square that ``SymmetricMatrix.full`` returns.
 """
 
 import itertools
@@ -52,19 +52,11 @@ DENSE = "dense"
 DIAGONAL = "diagonal"
 
 
-def _tri(i):
-    return i * (i + 1) // 2
-
-
-def _fractions(entries):
-    # Entries that are already Fractions are immutable and kept as they are.
-    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
-
-
 def _array(entries, field, what):
     """Read-only array of the backend's scalars: float64 or object Fractions."""
     if field == EXACT:
-        entries = _fractions(entries)
+        # Entries that are already Fractions are immutable and kept as they are.
+        entries = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
     elif field != F64:
         raise ValueError("unknown field %r" % field)
     arr = np.array(entries, dtype=SCALAR[field])
@@ -122,58 +114,65 @@ class Vector:
 
 
 class SymmetricMatrix:
-    """Symmetric matrix: dense or diagonal, over one scalar backend.
+    """Symmetric matrix over one scalar backend, as compressed sparse rows.
 
-    Exact dense data is the packed lower triangle; f64 dense data is the
-    read-only n x n square.  Diagonal data is the n diagonal entries,
-    stored as a vector's data is.  The _spd slot caches the outcome of
-    spd_check; it starts unknown (None) and is the only mutable piece of
-    state.
+    Row i holds ``data[indptr[i]:indptr[i+1]]`` in the sorted columns
+    ``indices[indptr[i]:indptr[i+1]]``; the arrays are read-only.  Every
+    diagonal entry is stored, even a zero one, so no row is empty (which
+    ``reduceat`` needs), and no off-diagonal zero is: equal matrices have
+    equal arrays.  The _spd slot caches spd_check's outcome (None: unknown).
     """
 
-    __slots__ = ("kind", "n", "data", "field", "_spd")
+    __slots__ = ("n", "indptr", "indices", "data", "field", "_spd")
 
-    def __init__(self, kind, n, data, field):
-        if kind not in (DENSE, DIAGONAL):
-            raise ValueError("unknown matrix kind %r" % kind)
+    def __init__(self, n, rows, cols, values, field=EXACT):
+        """Order-n matrix from lower-triangle coordinates, each given once; the rest is 0."""
         if n < 1:
             raise DimensionError("matrix order must be >= 1")
-        if kind == DENSE and field == EXACT:
-            data = _fractions(data)
-            if len(data) != _tri(n):
-                raise DimensionError(
-                    "expected %d packed entries, got %d" % (_tri(n), len(data))
-                )
-        else:
-            data = _array(data, field, "matrix")
-            want = (n, n) if kind == DENSE else (n,)
-            if data.shape != want:
-                raise DimensionError("expected shape %s, got %s" % (want, data.shape))
-            if kind == DENSE and not np.array_equal(data, data.T):
-                raise ValueError("matrix is not symmetric")
-        self.data = data
-        self.kind = kind
-        self.n = n
-        self.field = field
-        self._spd = None
-
-    @classmethod
-    def _adopt_f64(cls, kind, arr):
-        """Wrap a finite, symmetric float64 array built by this module, uncopied."""
-        arr.flags.writeable = False
-        out = cls.__new__(cls)
-        out.kind, out.n, out.data, out.field, out._spd = kind, arr.shape[0], arr, F64, None
-        return out
+        vals = _array(values, field, "matrix")
+        rows, cols = (np.asarray(x, dtype=np.intp) for x in (rows, cols))
+        if vals.ndim != 1 or rows.shape != vals.shape or cols.shape != vals.shape:
+            raise DimensionError("need one row and one column index per value")
+        if vals.size and (cols.min() < 0 or rows.max() >= n or np.any(cols > rows)):
+            raise DimensionError("entries must lie in the lower triangle, order %d" % n)
+        keys = rows * n + cols
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("a matrix position is given twice")
+        on = rows == cols
+        diag = np.full(n, SCALAR[field](0), dtype=vals.dtype)
+        diag[rows[on]] = vals[on]
+        off = ~on & (vals != 0)
+        every = np.arange(n)
+        r = np.concatenate((rows[off], cols[off], every))
+        c = np.concatenate((cols[off], rows[off], every))
+        order = np.lexsort((c, r))
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
+        self.indices = c[order]
+        self.data = np.concatenate((vals[off], vals[off], diag))[order]
+        for arr in (self.indptr, self.indices, self.data):
+            arr.flags.writeable = False
+        self.n, self.field, self._spd = n, field, None
 
     @classmethod
     def diagonal(cls, entries, field=EXACT):
         entries = list(entries)
-        return cls(DIAGONAL, len(entries), entries, field)
+        every = np.arange(len(entries))
+        return cls(len(entries), every, every, entries, field)
 
     @classmethod
     def dense(cls, data, n, field=EXACT):
-        """Dense matrix from its storage: packed triangle (exact) or square (f64)."""
-        return cls(DENSE, n, data, field)
+        """Dense matrix from a packed lower triangle (exact) or an n x n square (f64)."""
+        if field == F64:
+            square = _array(data, F64, "matrix")
+            if square.shape != (n, n):
+                raise DimensionError("expected shape %s, got %s" % ((n, n), square.shape))
+            return cls.from_rows(square, F64)
+        rows, cols = np.tril_indices(n)
+        data = list(data)
+        if len(data) != rows.size:
+            raise DimensionError("expected %d packed entries, got %d" % (rows.size, len(data)))
+        return cls(n, rows, cols, data, field)
 
     @classmethod
     def from_rows(cls, rows, field=EXACT):
@@ -185,43 +184,41 @@ class SymmetricMatrix:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric at (%d, %d)" % (i, j))
-        if field == F64:
-            return cls(DENSE, n, rows, F64)
-        packed = [rows[i][j] for i in range(n) for j in range(i + 1)]
-        return cls(DENSE, n, packed, field)
+        ii, jj = np.tril_indices(n)
+        return cls(n, ii, jj, [rows[i][j] for i, j in zip(ii.tolist(), jj.tolist())], field)
+
+    @property
+    def kind(self):
+        """``diagonal`` when only the diagonal is stored, else ``dense``."""
+        return DIAGONAL if self.data.size == self.n else DENSE
+
+    def _rows(self):
+        """Row index of every stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def entry(self, i, j):
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise DimensionError("index out of range")
-        if self.kind == DIAGONAL:
-            return self.data[i] if i == j else SCALAR[self.field](0)
-        if self.field == F64:
-            return self.data[i, j]
-        if j > i:
-            i, j = j, i
-        return self.data[_tri(i) + j]
+        lo = self.indptr[i]
+        hit = np.flatnonzero(self.indices[lo:self.indptr[i + 1]] == j)
+        return self.data[lo + hit[0]] if hit.size else SCALAR[self.field](0)
 
     def diag(self):
-        if self.kind == DIAGONAL:
-            return list(self.data)
-        if self.field == F64:
-            return list(self.data.diagonal())
-        return [self.data[_tri(i) + i] for i in range(self.n)]
+        return list(self.data[self.indices == self._rows()])
 
     def full(self):
         """Full square copy: a writable ndarray (f64) or a list of rows (exact)."""
-        if self.field == F64:
-            if self.kind == DIAGONAL:
-                return np.diag(self.data)
-            return self.data.copy()
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
+        out = np.full((self.n, self.n), SCALAR[self.field](0), dtype=self.data.dtype)
+        out[self._rows(), self.indices] = self.data
+        return out if self.field == F64 else out.tolist()
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricMatrix):
             return NotImplemented
-        if (self.kind, self.n, self.field) != (other.kind, other.n, other.field):
-            return False
-        return bool(np.array_equal(self.data, other.data))
+        return self.field == other.field and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("indptr", "indices", "data")
+        )
 
     __hash__ = None
 
@@ -272,29 +269,29 @@ def add_to_entry(v, index, delta):
     return Vector(arr, v.field)
 
 
+# Most products one reduceat forms at a time in the exact lane, where
+# they are objects of any size (whole rows, so a long row can exceed it).
+_BLOCK = 1024
+
+
 def matvec(A, v):
-    """Product A v: elementwise (diagonal), BLAS (f64 dense), packed pass (exact dense)."""
+    """Product A v: each row's products, summed (both backends).
+
+    An f64 matrix with all n^2 entries stored is, in CSR, its row-major
+    square, so BLAS multiplies its data as it lies.
+    """
     field = _lane(A, v)
-    if A.kind == DIAGONAL:
-        return Vector(A.data * v.data, field)
-    if field == F64:
-        return Vector(A.data @ v.data, F64)
-    n = A.n
-    x = v.data.tolist()
-    out = [ZERO] * n
-    k = 0
-    for i in range(n):
-        s = ZERO
-        vi = x[i]
-        for j in range(i):
-            a = A.data[k]
-            if a:
-                s += a * x[j]
-                out[j] += a * vi
-            k += 1
-        out[i] += s + A.data[k] * vi
-        k += 1
-    return Vector(out, EXACT)
+    if field == F64 and A.data.size == A.n * A.n:
+        return Vector(A.data.reshape(A.n, A.n) @ v.data, F64)
+    step = _BLOCK if field == EXACT else A.data.size
+    # A block ends before the first row that starts at a multiple of step or later.
+    cuts = sorted({0, A.n, *np.searchsorted(A.indptr, range(step, A.data.size, step)).tolist()})
+    sums = []
+    for r0, r1 in zip(cuts, cuts[1:]):
+        lo, hi = A.indptr[r0], A.indptr[r1]
+        products = A.data[lo:hi] * v.data[A.indices[lo:hi]]
+        sums.append(np.add.reduceat(products, A.indptr[r0:r1] - lo))
+    return Vector(np.concatenate(sums), field)
 
 
 class RitzSystem:
@@ -393,10 +390,13 @@ def small_solve(sys):
 def spd_check(A, budget=BitBudget()):
     """True iff A is symmetric positive definite; caches the result on A.
 
-    f64 backend: Cholesky factorization success.  Diagonal matrices:
-    every entry positive.  Exact dense backend: a floating-point
-    certificate, then the exact test only if the certificate cannot
-    decide.
+    Diagonal matrices: every entry positive.  f64 matrices with at least
+    a quarter of their n^2 entries stored: LAPACK's Cholesky of full(),
+    whose square then takes at most twice the memory of the stored
+    arrays.  Otherwise every pivot of an LDL^T factorization positive
+    (_spd_ldlt), in floating point for sparser f64 matrices and exactly
+    for exact matrices, where a floating-point certificate comes first
+    and decides when it can.
 
     Certificate (S. M. Rump, "Verification of positive definiteness",
     BIT 46, 2006).  Demote A to A_f, pick a float shift c a little above
@@ -411,7 +411,7 @@ def spd_check(A, budget=BitBudget()):
         g_k = k u/(1 - k u),  k = n + 2,  u = 2^-53,  eta = 2^-1022.
 
     L L^T is semidefinite, so lambda_min(At) >= -B.  With R = A - At,
-    computed exactly over the packed triangle, Weyl's and Gershgorin's
+    computed exactly over the stored entries, Weyl's and Gershgorin's
     theorems give lambda_min(A) >= min_i (R_ii - sum_{j != i} |R_ij|) - B,
     and A is proven positive definite when that is > 0, which is checked
     in exact rationals.
@@ -436,14 +436,10 @@ def spd_check(A, budget=BitBudget()):
     """
     if A.kind == DIAGONAL:
         ok = all(d > 0 for d in A.data)
-    elif A.field == EXACT:
-        ok = _spd_certificate(A) or _spd_exact(A, budget)
+    elif A.field == F64 and 4 * A.data.size >= A.n * A.n:
+        ok = _cholesky_succeeds(A.full())
     else:
-        try:
-            np.linalg.cholesky(A.data)
-            ok = True
-        except np.linalg.LinAlgError:
-            ok = False
+        ok = (A.field == EXACT and _spd_certificate(A)) or _spd_ldlt(A, budget)
     A._spd = ok
     return ok
 
@@ -466,7 +462,7 @@ def _cholesky_error_bound(n, trace, max_diag):
 def _spd_certificate(A):
     """True if a shifted floating Cholesky proves exact dense A positive definite."""
     try:
-        Af = demote_matrix(A).data
+        Af = demote_matrix(A).full()
     except ScalarOverflow:
         return False
     n = A.n
@@ -480,45 +476,68 @@ def _spd_certificate(A):
     if not math.isfinite(c):
         return False
     At = Af - c * np.eye(n)
-    try:
-        np.linalg.cholesky(At)
-    except np.linalg.LinAlgError:
+    if not _cholesky_succeeds(At):
         return False
-    # R = A - At over the packed triangle; off the diagonal only the
-    # demotion error of nonzero entries.
+    # R = A - At over the stored lower triangle; off the diagonal only
+    # the demotion error of the stored entries.
     radius = [ZERO] * n
-    r_diag = []
-    k = 0
-    for i, row in enumerate(At.tolist()):
-        for j, a in enumerate(A.data[k:k + i]):
-            if a:
-                r = abs(a - Fraction(row[j]))
-                radius[i] += r
-                radius[j] += r
-        k += i
-        r_diag.append(A.data[k] - Fraction(row[i]))
-        k += 1
+    r_diag = [ZERO] * n
+    rows = A._rows()
+    low = rows >= A.indices
+    rows, cols = rows[low].tolist(), A.indices[low].tolist()
+    for i, j, a, t in zip(rows, cols, A.data[low], At[rows, cols].tolist()):
+        r = a - Fraction(t)
+        if i == j:
+            r_diag[i] = r
+        else:
+            r = abs(r)
+            radius[i] += r
+            radius[j] += r
     t_diag = [Fraction(x) for x in At.diagonal().tolist()]
     bound = _cholesky_error_bound(n, sum(t_diag), max(t_diag))
     return min(d - r for d, r in zip(r_diag, radius)) > bound
 
 
-def _spd_exact(A, budget):
-    n = A.n
-    work = [[A.entry(i, j) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        d = work[k][k]
-        if d <= 0:
+def _cholesky_succeeds(square):
+    try:
+        np.linalg.cholesky(square)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _spd_ldlt(A, budget):
+    """True iff every pivot of A's LDL^T factorization is positive.
+
+    Row by row, with W = L D: W[i, j] = a_ij - W[i, :j] . L[j, :j] (j < i),
+    L[i, :i] = W[i, :i] / D, pivot d_i = a_ii - W[i, :i] . L[i, :i].  Fill-in
+    stays right of each row's first stored column, so only that envelope
+    is worked.  Pivot i is the ratio of the leading minors of orders i+1, i.
+    """
+    zero = SCALAR[A.field](0)
+    pivots = np.empty(A.n, dtype=A.data.dtype)
+    rows = []  # (first column f, L[i, f:i])
+    for i in range(A.n):
+        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+        low = cols <= i
+        f = cols[0]
+        w = np.full(i + 1 - f, zero, dtype=pivots.dtype)
+        w[cols[low] - f] = A.data[A.indptr[i]:A.indptr[i + 1]][low]
+        for j in range(f, i):
+            fj, lj = rows[j]
+            g = max(f, fj)
+            w[j - f] -= np.dot(w[g - f:j - f], lj[g - fj:])
+        l = w[:-1] / pivots[f:i]
+        d = w[-1] - np.dot(w[:-1], l)
+        if not d > 0:
             return False
-        try:
-            budget.check(d)
-        except BudgetExceeded as exc:
-            raise BudgetExceeded("SPD check, pivot %d: %s" % (k + 1, exc)) from None
-        for i in range(k + 1, n):
-            f = work[i][k] / d
-            if f:
-                for j in range(k, n):
-                    work[i][j] -= f * work[k][j]
+        if A.field == EXACT:
+            try:
+                budget.check(d)
+            except BudgetExceeded as exc:
+                raise BudgetExceeded("SPD check, pivot %d: %s" % (i + 1, exc)) from None
+        pivots[i] = d
+        rows.append((f, l))
     return True
 
 
@@ -548,7 +567,7 @@ def condition_estimate(A):
         if A.field == EXACT:
             return demote(max(A.data) / min(A.data))
         return float(np.max(A.data) / np.min(A.data))
-    eig = np.linalg.eigvalsh(demote_matrix(A).data)
+    eig = np.linalg.eigvalsh(demote_matrix(A).full())
     if eig[0] <= 0.0:
         return math.inf
     return float(eig[-1] / eig[0])
@@ -560,24 +579,19 @@ def demote_vector(v):
     return Vector([demote(e) for e in v.data], F64)
 
 
-def demote_matrix(A):
-    if A.field == F64:
-        return A
-    n = A.n
-    if A.kind == DIAGONAL:
-        arr = np.fromiter(map(demote, A.data), np.float64, n)
-    else:
-        # Row by row into the square: no packed intermediate of n^2/2 entries.
-        arr = np.empty((n, n))
-        k = 0
-        for i in range(n):
-            row = np.fromiter(map(demote, A.data[k:k + i + 1]), np.float64, i + 1)
-            arr[i, :i + 1] = row
-            arr[:i + 1, i] = row
-            k += i + 1
-    out = SymmetricMatrix._adopt_f64(A.kind, arr)
-    out._spd = A._spd
+def _map_lower(A, fn, field, spd=None):
+    """A's stored lower triangle through fn: A's pattern, less new zeros off the diagonal."""
+    rows = A._rows()
+    low = rows >= A.indices
+    values = list(map(fn, A.data[low].tolist()))
+    out = SymmetricMatrix(A.n, rows[low], A.indices[low], values, field)
+    out._spd = spd
     return out
+
+
+def demote_matrix(A):
+    """A in f64; the conversion keeps a known SPD verdict."""
+    return A if A.field == F64 else _map_lower(A, demote, F64, A._spd)
 
 
 def rationalize_vector(v):
@@ -587,21 +601,13 @@ def rationalize_vector(v):
 
 
 def rationalize_matrix(A):
-    if A.field == EXACT:
-        return A
-    if A.kind == DIAGONAL:
-        entries = A.data.tolist()
-    else:
-        entries = [e for i in range(A.n) for e in A.data[i, :i + 1].tolist()]
-    out = SymmetricMatrix(A.kind, A.n, [rationalize(e) for e in entries], EXACT)
-    out._spd = A._spd
-    return out
+    return A if A.field == EXACT else _map_lower(A, rationalize, EXACT, A._spd)
 
 
 def snap_matrix(A, threshold):
     if A.field != EXACT:
         raise ExactRequired("zero snapping operates on exact data")
-    return SymmetricMatrix(A.kind, A.n, [snap_zero(e, threshold) for e in A.data], EXACT)
+    return _map_lower(A, lambda e: snap_zero(e, threshold), EXACT)
 
 
 def snap_vector(v, threshold):
@@ -615,22 +621,26 @@ def snap_vector(v, threshold):
 #
 # Matrix file:  header "symmetric n" or "diagonal n", then the packed
 # lower triangle (row-major) or the n diagonal entries as rational
-# literals.  Vector file: header "vector n", then n rational literals.
+# literals.  A matrix of kind diagonal is written with the second
+# header.  Vector file: header "vector n", then n rational literals.
 # Whitespace (including newlines) separates entries.
 
 
 def write_matrix(A, path):
     if A.field != EXACT:
         raise ExactRequired("matrix files store exact rationals")
-    word = "diagonal" if A.kind == DIAGONAL else "symmetric"
-    lines = ["%s %d" % (word, A.n)]
     if A.kind == DIAGONAL:
-        lines.extend(str(e) for e in A.data)
+        lines = ["diagonal %d" % A.n] + [str(e) for e in A.data]
     else:
-        k = 0
+        lines = ["symmetric %d" % A.n]
+        indices = A.indices.tolist()
         for i in range(A.n):
-            lines.append(" ".join(str(e) for e in A.data[k:k + i + 1]))
-            k += i + 1
+            row = ["0"] * (i + 1)
+            for k in range(A.indptr[i], A.indptr[i + 1]):
+                if indices[k] > i:
+                    break
+                row[indices[k]] = str(A.data[k])
+            lines.append(" ".join(row))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -646,15 +656,20 @@ def read_matrix(path):
     tokens = _read_tokens(path)
     if len(tokens) < 2 or tokens[0] not in ("symmetric", "diagonal"):
         raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
-    kind = DENSE if tokens[0] == "symmetric" else DIAGONAL
-    n = _parse_count(tokens[1])
-    want = _tri(n) if kind == DENSE else n
-    body = tokens[2:]
-    if len(body) != want:
-        raise FormatError("expected %d entries, found %d" % (want, len(body)))
+    symmetric, n = tokens[0] == "symmetric", _parse_count(tokens[1])
+    del tokens[:2]
+    want = n * (n + 1) // 2 if symmetric else n
+    if len(tokens) != want:
+        raise FormatError("expected %d entries, found %d" % (want, len(tokens)))
     # Parse each distinct literal once; dict order reports the first bad one.
-    values = {t: parse_rational(t) for t in dict.fromkeys(body)}
-    return SymmetricMatrix(kind, n, [values[t] for t in body], EXACT)
+    values = {t: parse_rational(t) for t in dict.fromkeys(tokens)}
+    zeros = {t for t, q in values.items() if not q}
+    kept = np.flatnonzero(~np.fromiter(map(zeros.__contains__, tokens), bool, len(tokens)))
+    rows = cols = kept
+    if symmetric:
+        rows = np.searchsorted(np.cumsum(np.arange(n)), kept, side="right") - 1
+        cols = kept - rows * (rows + 1) // 2
+    return SymmetricMatrix(n, rows, cols, [values[tokens[k]] for k in kept.tolist()], EXACT)
 
 
 def read_vector(path):
@@ -711,26 +726,31 @@ def read_matrix_market(path):
         raise FormatError("matrix is not square: %d x %d" % (rows, cols))
     if len(body) - 1 != nnz:
         raise FormatError("expected %d entries, found %d" % (nnz, len(body) - 1))
-    packed = [ZERO] * _tri(rows)
-    seen = set()
+    ii, jj, values, seen = [], [], [], set()
     for ln in body[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError("malformed entry line %r" % ln)
-        i, j = _parse_count(parts[0]) - 1, _parse_count(parts[1]) - 1
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            x = int(parts[2]) if fieldkind == "integer" else float(parts[2])
+        except ValueError:
+            raise FormatError("bad number in entry line %r" % ln) from None
+        if fieldkind == "real" and not math.isfinite(x):
+            raise FormatError("non-finite value in entry line %r" % ln)
         if not (0 <= i < rows and 0 <= j < rows):
             raise FormatError("entry index out of range in %r" % ln)
         if j > i:
             i, j = j, i
-        if (i, j) in seen:
+        if i * rows + j in seen:
             raise FormatError("duplicate entry for (%d, %d)" % (i + 1, j + 1))
-        seen.add((i, j))
-        if fieldkind == "integer":
-            value = Fraction(int(parts[2]))
-        else:
-            value = rationalize(float(parts[2]))
-        packed[_tri(i) + j] = value
-    return SymmetricMatrix(DENSE, rows, packed, EXACT)
+        seen.add(i * rows + j)
+        ii.append(i)
+        jj.append(j)
+        values.append(Fraction(x))
+    # The text goes before the O(nnz) arrays are built, not after.
+    del lines, body, seen
+    return SymmetricMatrix(rows, ii, jj, values)
 
 
 def _parse_count(token):

@@ -9,20 +9,17 @@ from fractions import Fraction
 
 
 def unpack(A):
-    """Full square list-of-rows view of a SymmetricMatrix."""
+    """Full square list-of-rows view of a SymmetricMatrix.
+
+    Reads the compressed-row arrays directly, so that the package's
+    own ``full``, ``entry`` and matvec are never used to check
+    themselves.
+    """
     n = A.n
     rows = [[Fraction(0)] * n for _ in range(n)]
-    if A.kind == "diagonal":
-        for i in range(n):
-            rows[i][i] = Fraction(A.data[i])
-        return rows
-    k = 0
     for i in range(n):
-        for j in range(i + 1):
-            value = Fraction(A.data[k])
-            rows[i][j] = value
-            rows[j][i] = value
-            k += 1
+        for k in range(int(A.indptr[i]), int(A.indptr[i + 1])):
+            rows[i][int(A.indices[k])] = Fraction(A.data[k])
     return rows
 
 

@@ -260,6 +260,39 @@ class TestSolve:
         assert code == EXIT_OK
         assert "# termination converged" in out
 
+    def test_matrix_market_integer_beyond_double_range(self, tmp_path, capsys):
+        # A = [[10^400, 1], [1, 1]], b = A (1, 1): cg ends on a zero residual
+        # only if the 400-digit entry was read exactly.
+        big = 10**400
+        a = tmp_path / "A.mtx"
+        a.write_text(
+            "%%%%MatrixMarket matrix coordinate integer symmetric\n"
+            "2 2 3\n1 1 %d\n2 1 1\n2 2 1\n" % big
+        )
+        b = tmp_path / "b.txt"
+        b.write_text("vector 2\n%d\n2\n" % (big + 1))
+        code, out, err = run(["solve", str(a), str(b), "--method", "cg"], capsys)
+        assert code == EXIT_OK and err == ""
+        assert "# termination converged" in out
+        assert out.splitlines()[-1].startswith("2,0/1,")
+
+    @pytest.mark.parametrize("field, line", [
+        ("real", "2 1 inf"),
+        ("real", "2 1 nan"),
+        ("real", "2 1 abc"),
+        ("integer", "2 1 1.5"),
+    ])
+    def test_bad_matrix_market_value_is_a_usage_error(self, tmp_path, capsys, field, line):
+        a = tmp_path / "A.mtx"
+        a.write_text(
+            "%%%%MatrixMarket matrix coordinate %s symmetric\n2 2 2\n1 1 4\n%s\n" % (field, line)
+        )
+        b = tmp_path / "b.txt"
+        b.write_text("vector 2\n1\n1\n")
+        code, out, err = run(["solve", str(a), str(b)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.count("\n") == 1 and repr(line) in err
+
     def test_no_energy_flag(self, tmp_path, capsys):
         a_path, b_path, _ = gen_system(tmp_path, capsys, "--spectrum", "2x1")
         code, out, _ = run(["solve", a_path, b_path, "--no-energy"], capsys)
@@ -334,8 +367,26 @@ class TestActive:
         a_path, b_path, _ = gen_system(
             tmp_path, capsys, "--spectrum", "2x2,5x1", "--rotate", "2"
         )
+        assert read_matrix(a_path).kind == "dense"
         code, _, err = run(["active", a_path, b_path], capsys)
         assert code == EXIT_USAGE and "error:" in err
+
+    def test_symmetric_file_with_diagonal_body(self, tmp_path, capsys):
+        a = tmp_path / "A.txt"
+        a.write_text("symmetric 3\n2\n0 2\n0 0 5\n")
+        b = tmp_path / "b.txt"
+        b.write_text("vector 3\n1\n-1\n1\n")
+        assert read_matrix(a).kind == "diagonal"
+        code, out, _ = run(["active", str(a), str(b)], capsys)
+        assert code == EXIT_OK and out.strip() == "m=2"
+
+    def test_rotations_of_equal_eigenvalues_stay_diagonal(self, tmp_path, capsys):
+        a_path, b_path, _ = gen_system(
+            tmp_path, capsys, "--spectrum", "3x2", "--rotate", "4", "--seed", "1"
+        )
+        assert open(a_path).read() == "diagonal 2\n3\n3\n"
+        code, out, _ = run(["active", a_path, b_path], capsys)
+        assert code == EXIT_OK and out.strip() == "m=1"
 
 
 class TestManifest:

@@ -1,0 +1,96 @@
+"""Exact CLI traces and `gen` outputs, pinned by SHA-256.
+
+The exact lane is the ground truth, so its traces must stay byte for
+byte the same across any change to the storage, the vector layer or
+the solvers.  Each case generates (or writes) a system, solves it in
+exact arithmetic through the CLI, and compares the SHA-256 of every
+file produced with a pin.  A pin changes only together with a stated
+change of the trace format or of the generated inputs.
+"""
+
+import hashlib
+
+import pytest
+
+from irmcg.cli import EXIT_BUDGET, EXIT_OK, main
+
+MATRIX_MARKET = (
+    "%%MatrixMarket matrix coordinate real symmetric\n"
+    "% a small SPD system with decimal entries\n"
+    "4 4 7\n"
+    "1 1 4.5\n"
+    "2 1 -1.25\n"
+    "2 2 3.0\n"
+    "3 2 0.1\n"
+    "3 3 2.0\n"
+    "4 1 0.5\n"
+    "4 4 1.75\n"
+)
+MATRIX_MARKET_RHS = "vector 4\n1\n-2\n3/7\n0\n"
+
+JACOBI = ["--method", "irm", "--generator", "jacobi-residual+increment"]
+CG = (["--method", "cg"], EXIT_OK)
+IRM_CG = (["--method", "irm-cg"], EXIT_OK)
+
+# name -> (gen arguments, or None for the Matrix Market file; (solve arguments, exit code)s).
+# Exact Jacobi IRM on a rotated system does not terminate; its rationals
+# pass 4096 bits within a few steps, and that trace is pinned too.
+CASES = {
+    "rotated": (
+        ["--spectrum", "1x2,2x2,3x2", "--rotate", "12", "--seed", "5"],
+        [CG, IRM_CG, (JACOBI + ["--max-bits", "4096"], EXIT_BUDGET)],
+    ),
+    "chain": (
+        ["--chain", "20", "--stiff", ",".join(str(1 + k % 4) for k in range(21)),
+         "--rhs", "random", "--seed", "3"],
+        [CG, (["--method", "irm-cg", "--no-energy"], EXIT_OK)],
+    ),
+    "diagonal": (
+        ["--spectrum", "1x2,3/2x1,10x3i,7x2", "--rhs", "random", "--seed", "4"],
+        [IRM_CG, (JACOBI, EXIT_OK)],
+    ),
+    "matrix-market": (None, [CG, IRM_CG]),
+}
+
+PINS = {
+    "rotated/A.txt": "04e883979a20acddeb9ecd70606000f4558838f354022e1109bddf3d897c9206",
+    "rotated/b.txt": "29a138e8935d3290cda0cef738859226f46419be0725d1eeaaaa53cee0bfe21c",
+    "rotated/solve0.csv": "9aa186263d5f98a9a9b19182284f38580a5a806dc736c4dddb1a66be388b8807",
+    "rotated/solve1.csv": "070f61aa9f567b6368981244056493db571b5a96a25299d74be3d6944c1711d4",
+    "rotated/solve2.csv": "7aeebd99ddba5eb8d3006f454d43edd46b20527454949057b8886bdf8b12272f",
+    "chain/A.txt": "5dc1de9eb7b765c722c5ec688953c1dc8b72cadf1e4ce59538381fa945c3743e",
+    "chain/b.txt": "4fb983f0cf9da6528aaae2d03ba35b0633f8ad4b53db09652f7b7658492dfd5f",
+    "chain/solve0.csv": "33567e3ff080c97c4305b76b86e3b679afc91f7257b10523c474fcbeaaa7db20",
+    "chain/solve1.csv": "597fc8ddee0d04af96cd4d7e6ee2626c2ec00300e8f7597ce844e29424411e36",
+    "diagonal/A.txt": "9734549a88e6526cb6c407645804c16617188db077dd62b0470df26a904878b2",
+    "diagonal/b.txt": "00ab36a1e6dd8b5feee860ddac598bdacfd9ded3ad9f37c779aa2589ed43ea9e",
+    "diagonal/solve0.csv": "215a9560adbcb9a1001a8fe1d50a41831f15abb52b5755543da4e3055134ceee",
+    "diagonal/solve1.csv": "5eac9b9033eb068587caa20b13fa759c9fca8ef7eb2d54276b87eea2271d28e9",
+    "matrix-market/solve0.csv": "5de25988b091559f6babd41fe20555c10ceecaf5d314c3072bdb279e49636710",
+    "matrix-market/solve1.csv": "44a65a5a29e88b43dc2afe644f225eccd3e8f241414b12e0d1d6aba82b0b7707",
+}
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exact_outputs_match_pins(name, tmp_path, capsys):
+    gen_args, solves = CASES[name]
+    if gen_args is None:
+        a_path, b_path = tmp_path / "A.mtx", tmp_path / "b.txt"
+        a_path.write_text(MATRIX_MARKET)
+        b_path.write_text(MATRIX_MARKET_RHS)
+        produced = []
+    else:
+        assert main(["gen", *gen_args, "-o", str(tmp_path)]) == EXIT_OK
+        a_path, b_path = tmp_path / "A.txt", tmp_path / "b.txt"
+        produced = [a_path, b_path]
+    for k, (args, code) in enumerate(solves):
+        trace = tmp_path / ("solve%d.csv" % k)
+        assert main(["solve", str(a_path), str(b_path), *args, "-o", str(trace)]) == code
+        produced.append(trace)
+    capsys.readouterr()
+    got = {"%s/%s" % (name, p.name): _sha(p) for p in produced}
+    assert got == {key: pin for key, pin in PINS.items() if key.startswith(name + "/")}

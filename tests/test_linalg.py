@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from irmcg import linalg
 from irmcg.arithmetic import EXACT, F64, BitBudget, demote, rationalize
 from irmcg.benchgen import (
     RotationPlan,
@@ -24,7 +25,6 @@ from irmcg.errors import (
     SingularRitzSystem,
 )
 from irmcg.linalg import (
-    DENSE,
     RitzSystem,
     SymmetricMatrix,
     Vector,
@@ -50,7 +50,7 @@ from irmcg.linalg import (
     write_matrix,
     write_vector,
 )
-from irmcg.linalg import _spd_certificate, _spd_exact
+from irmcg.linalg import _spd_certificate, _spd_ldlt
 
 small_ints = st.integers(min_value=-9, max_value=9)
 small_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
@@ -155,6 +155,28 @@ class TestMatvec:
         A = SymmetricMatrix.from_rows([[2, 1], [1, 2]])
         assert matvec(A, Vector.zeros(2, EXACT)).is_zero()
 
+    @pytest.mark.parametrize("rows", [
+        [[0, 1, 0], [1, 0, 2], [0, 2, 3]],
+        [[0, 0], [0, 5]],
+    ])
+    def test_zero_diagonal_entry(self, rows):
+        # No SPD gate runs here (as in gen_inverse): a zero diagonal entry
+        # is stored, so no row is empty.
+        A = SymmetricMatrix.from_rows(rows)
+        v = [F(3), F(-1, 2), F(7)][:A.n]
+        assert list(matvec(A, Vector.exact(v)).data) == oracles.full_matvec(rows, v)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1024])
+    def test_exact_blocks_match_oracle(self, block, monkeypatch):
+        # Blocks end at row boundaries; a row longer than a block is one block.
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        rng = random.Random(block)
+        for A in (random_spd(rng, 8), gen_spring_chain(9, range(1, 11)),
+                  SymmetricMatrix.diagonal([1, 0, 3])):
+            v = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(A.n)]
+            want = oracles.full_matvec(oracles.unpack(A), v)
+            assert list(matvec(A, Vector.exact(v)).data) == want
+
     def test_dimension_mismatch(self):
         A = SymmetricMatrix.diagonal([1, 2])
         with pytest.raises(DimensionError):
@@ -188,6 +210,21 @@ class TestMatvec:
         dp = matvec(demote_matrix(A), Vector.f64(v))
         assert np.allclose(dp.data, [float(e) for e in exact.data], rtol=1e-14)
 
+    def test_f64_fully_stored_is_blas_gemv(self):
+        # With all n^2 entries stored the CSR data is the row-major square;
+        # one stored zero fewer and the rows are summed by reduceat.
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((9, 9))
+        square = B @ B.T + 9 * np.eye(9)
+        v = rng.standard_normal(9)
+        A = SymmetricMatrix.dense(square, 9, F64)
+        assert A.data.size == 81
+        assert np.array_equal(matvec(A, Vector.f64(v)).data, square @ v)
+        square[5, 0] = square[0, 5] = 0.0
+        S = SymmetricMatrix.dense(square, 9, F64)
+        assert S.data.size == 79
+        assert np.allclose(matvec(S, Vector.f64(v)).data, square @ v, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 23, 40])
     def test_f64_dense_matches_oracle(self, n):
         rng = random.Random(n)
@@ -199,14 +236,15 @@ class TestMatvec:
 
 
 class TestF64Storage:
-    def test_dense_is_square_read_only_and_symmetric(self):
+    def test_dense_is_read_only_and_symmetric(self):
         A = demote_matrix(random_spd(random.Random(3), 5))
-        assert A.data.shape == (5, 5) and A.data.flags.c_contiguous
-        assert np.array_equal(A.data, A.data.T)
+        assert A.data.dtype == np.float64
         with pytest.raises(ValueError):
-            A.data[0, 1] = 7.0
-        assert A.entry(3, 1) == A.entry(1, 3) == A.data[3, 1]
-        assert A.diag() == list(np.diagonal(A.data))
+            A.data[0] = 7.0
+        square = A.full()
+        assert np.array_equal(square, square.T)
+        assert A.entry(3, 1) == A.entry(1, 3) == square[3, 1]
+        assert A.diag() == list(np.diagonal(square))
 
     def test_full_is_a_writable_copy(self):
         A = SymmetricMatrix.from_rows([[2.0, 1.0], [1.0, 3.0]], F64)
@@ -216,18 +254,88 @@ class TestF64Storage:
 
     def test_rejects_asymmetric_square(self):
         with pytest.raises(ValueError):
-            SymmetricMatrix(DENSE, 2, [[1.0, 2.0], [3.0, 1.0]], F64)
+            SymmetricMatrix.dense([[1.0, 2.0], [3.0, 1.0]], 2, F64)
+        with pytest.raises(ValueError):
+            SymmetricMatrix.from_rows([[1.0, 2.0], [3.0, 1.0]], F64)
 
     def test_rejects_wrong_shape_and_non_finite(self):
         with pytest.raises(DimensionError):
-            SymmetricMatrix(DENSE, 2, [1.0, 0.0, 1.0], F64)
+            SymmetricMatrix.dense([1.0, 0.0, 1.0], 2, F64)
+        with pytest.raises(DimensionError):
+            SymmetricMatrix.dense([1, 0], 2)
+        with pytest.raises(DimensionError):
+            SymmetricMatrix.from_rows([[1.0, 0.0]], F64)
         with pytest.raises(InvalidScalar):
-            SymmetricMatrix(DENSE, 1, [[float("inf")]], F64)
+            SymmetricMatrix.dense([[float("inf")]], 1, F64)
+        with pytest.raises(InvalidScalar):
+            SymmetricMatrix.diagonal([1.0, float("nan")], F64)
 
     def test_exact_constructors_keep_fractions(self):
         q = F(2, 3)
         assert Vector.exact([q, 1]).data[0] is q
         assert SymmetricMatrix.diagonal([q, 1]).data[0] is q
+
+    def test_coordinates_outside_the_lower_triangle_rejected(self):
+        with pytest.raises(DimensionError):
+            SymmetricMatrix(2, [0], [1], [1])
+        with pytest.raises(DimensionError):
+            SymmetricMatrix(2, [2], [0], [1])
+        with pytest.raises(ValueError):
+            SymmetricMatrix(2, [1, 1], [0, 0], [1, 2])
+
+
+MARKET_HEAD = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
+def _read(tmp_path, text, reader=read_matrix):
+    path = tmp_path / "A.txt"
+    path.write_text(text)
+    return reader(path)
+
+
+# Each path that builds a matrix, on input with a zero diagonal entry and
+# (where the input can hold them) explicit off-diagonal zeros.
+CONSTRUCTIONS = {
+    "diagonal": lambda tmp: SymmetricMatrix.diagonal([1, 0, F(2, 3)]),
+    "diagonal-f64": lambda tmp: SymmetricMatrix.diagonal([1.0, 0.0, -0.0], F64),
+    "dense": lambda tmp: SymmetricMatrix.dense([2, 0, 0, 1, 0, 3], 3),
+    "dense-f64": lambda tmp: SymmetricMatrix.dense(
+        [[2.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 0.0, 3.0]], 3, F64),
+    "from_rows": lambda tmp: SymmetricMatrix.from_rows(
+        [[0, F(1, 3), 0], [F(1, 3), 5, -1], [0, -1, 0]]),
+    "from_rows-f64": lambda tmp: SymmetricMatrix.from_rows([[4.0, 0.0], [0.0, 0.0]], F64),
+    "coordinates": lambda tmp: SymmetricMatrix(4, [3, 2, 1, 3], [0, 2, 1, 3], [7, 0, 4, 1]),
+    "chain": lambda tmp: gen_spring_chain(5, [1, 2, 3, 4, 5, 6]),
+    "read_matrix-symmetric": lambda tmp: _read(tmp, "symmetric 3\n2\n0 0\n1/2 0 3\n"),
+    "read_matrix-diagonal": lambda tmp: _read(tmp, "diagonal 3\n1\n0\n5\n"),
+    "read_matrix_market": lambda tmp: _read(
+        tmp, MARKET_HEAD + "3 3 4\n1 1 2.0\n1 3 0.5\n3 2 0.0\n3 3 1.0\n", read_matrix_market),
+    # An off-diagonal entry below the double range demotes to zero.
+    "demote_matrix": lambda tmp: demote_matrix(SymmetricMatrix.from_rows(
+        [[1, F(1, 10**400), 2], [F(1, 10**400), 0, 0], [2, 0, 9]])),
+    "rationalize_matrix": lambda tmp: rationalize_matrix(
+        SymmetricMatrix.from_rows([[0.1, 0.0, 0.2], [0.0, 0.0, 0.0], [0.2, 0.0, 0.3]], F64)),
+    "snap_matrix": lambda tmp: snap_matrix(SymmetricMatrix.from_rows(
+        [[1, F(1, 10**20), 3], [F(1, 10**20), 0, 0], [3, 0, 1]]), F(1, 10**12)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(CONSTRUCTIONS))
+def test_storage_invariants(how, tmp_path):
+    A = CONSTRUCTIONS[how](tmp_path)
+    arrays = (A.indptr, A.indices, A.data)
+    assert not any(arr.flags.writeable for arr in arrays)
+    assert A.indptr[0] == 0 and A.indptr[-1] == len(A.indices) == len(A.data)
+    stored = {}
+    for i in range(A.n):
+        lo, hi = int(A.indptr[i]), int(A.indptr[i + 1])
+        cols = A.indices[lo:hi].tolist()
+        assert cols == sorted(set(cols)), "indices sorted within the row"
+        assert i in cols, "every diagonal entry stored"
+        stored.update(((i, j), A.data[k]) for j, k in zip(cols, range(lo, hi)))
+    assert all(v != 0 for (i, j), v in stored.items() if i != j), "no off-diagonal zero"
+    assert all(stored.get((j, i)) == v for (i, j), v in stored.items()), "symmetric"
+    assert oracles.unpack(A) == [[F(e) for e in row] for row in A.full()]
 
 
 class TestSmallSolve:
@@ -365,12 +473,12 @@ class TestSpdCertificate:
         for seed in range(7, 17):
             A = rotated_near_singular(F(1, 2**60), F(1, 2**59), seed)
             try:
-                np.linalg.cholesky(demote_matrix(A).data)
+                np.linalg.cholesky(demote_matrix(A).full())
                 naive.append(True)
             except np.linalg.LinAlgError:
                 naive.append(False)
             assert _spd_certificate(A) is False
-            assert _spd_exact(A, BitBudget()) is False
+            assert _spd_ldlt(A, BitBudget()) is False
             assert spd_check(A) is False
         assert any(naive)
 
@@ -399,7 +507,7 @@ class TestSpdCertificate:
     def test_subnormal_entries(self, off, expected):
         A = SymmetricMatrix.from_rows([[F(1, 10**320), off], [off, 1]])
         assert (oracles.leading_minors(oracles.unpack(A))[1] > 0) is expected
-        assert _spd_exact(A, BitBudget()) is expected
+        assert _spd_ldlt(A, BitBudget()) is expected
         assert not _spd_certificate(A) or expected
         assert spd_check(A) is expected
 
@@ -410,6 +518,62 @@ class TestSpdCertificate:
             spd_check(A, BitBudget(300))
         assert A._spd is None
         assert spd_check(A, BitBudget()) is True
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Exact symmetric matrix, n <= 7, with about two thirds of its off-diagonal entries zero."""
+    n = draw(st.integers(1, 7))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if i == j or draw(st.integers(0, 2)) == 0:
+                rows[i][j] = rows[j][i] = draw(small_fractions)
+    return SymmetricMatrix.from_rows(rows)
+
+
+class TestLdlt:
+    """The LDL^T gate works within each row's envelope, in both lanes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_symmetric())
+    def test_exact_decision_is_sylvester(self, A):
+        sylvester = all(m > 0 for m in oracles.leading_minors(oracles.unpack(A)))
+        assert _spd_ldlt(A, BitBudget()) is sylvester
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_symmetric())
+    def test_f64_decision_is_lapack_cholesky_away_from_singular(self, A):
+        D = demote_matrix(A)
+        square = D.full()
+        eig = np.abs(np.linalg.eigvalsh(square))
+        assume(eig.min() > 1e-6 * eig.max())
+        try:
+            np.linalg.cholesky(square)
+            lapack = True
+        except np.linalg.LinAlgError:
+            lapack = False
+        assert spd_check(D) is lapack
+        assert _spd_ldlt(D, BitBudget()) is lapack
+
+    def test_f64_route_follows_density(self, monkeypatch):
+        # A quarter of n^2 stored or more: LAPACK on full(); sparser: LDL^T.
+        ldlt = []
+        monkeypatch.setattr(linalg, "_spd_ldlt", lambda A, budget: ldlt.append(A.n) or True)
+        dense = demote_matrix(SymmetricMatrix.from_rows([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+        assert 4 * dense.data.size >= 9
+        assert spd_check(dense) is True and ldlt == []
+        semidefinite = demote_matrix(SymmetricMatrix.from_rows([[1, 1], [1, 1]]))
+        assert spd_check(semidefinite) is False and ldlt == []
+        chain = demote_matrix(gen_spring_chain(40, [1] * 41))
+        assert spd_check(chain) is True and ldlt == [40]
+
+    def test_f64_chain_is_gated_in_its_band(self):
+        A = demote_matrix(gen_spring_chain(1000, [1, 2, 3] * 333 + [1, 2]))
+        assert spd_check(A) is True
+        rows = oracles.unpack(gen_spring_chain(3, [1, 1, 1, 1]))
+        rows[1][1] = F(1)  # leading minors 2, 1, 0: semidefinite
+        assert _spd_ldlt(demote_matrix(SymmetricMatrix.from_rows(rows)), BitBudget()) is False
 
 
 class TestEnergy:
@@ -480,6 +644,16 @@ class TestConversions:
         A = SymmetricMatrix.from_rows([[1, F(1, 10**20)], [F(1, 10**20), 1]])
         snapped = snap_matrix(A, F(1, 10**12))
         assert snapped == SymmetricMatrix.from_rows([[1, 0], [0, 1]])
+        assert snapped.indices.tolist() == [0, 1] and snapped.kind == "diagonal"
+
+    def test_conversions_keep_the_chain_pattern(self):
+        A = gen_spring_chain(1000, [1, 2, 3] * 333 + [1, 2])
+        D = demote_matrix(A)
+        back = rationalize_matrix(D)
+        assert len(A.data) == len(D.data) == len(back.data) == 2998
+        for M in (D, back):
+            assert np.array_equal(M.indptr, A.indptr) and np.array_equal(M.indices, A.indices)
+        assert back == A
 
 
 class TestFiles:
@@ -561,10 +735,36 @@ class TestMatrixMarket:
         )
         assert read_matrix_market(path).entry(0, 0) == big
 
+    def test_integer_field_beyond_double_range_is_exact(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        big = 10**400
+        path.write_text(
+            "%%%%MatrixMarket matrix coordinate integer symmetric\n"
+            "2 2 3\n1 1 %d\n2 1 %d\n2 2 1\n" % (big, 1 - big)
+        )
+        A = read_matrix_market(path)
+        assert A.entry(0, 0) == big
+        assert A.entry(1, 0) == A.entry(0, 1) == 1 - big
+        assert A.entry(1, 1) == 1
+
     def test_rejects_general_qualifier(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n")
         with pytest.raises(FormatError):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("field, line", [
+        ("real", "2 1 inf"),
+        ("real", "2 1 nan"),
+        ("real", "2 1 abc"),
+        ("integer", "2 1 1.5"),
+    ])
+    def test_bad_value_names_the_entry_line(self, tmp_path, field, line):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%%%MatrixMarket matrix coordinate %s symmetric\n2 2 2\n1 1 4\n%s\n" % (field, line)
+        )
+        with pytest.raises(FormatError, match=repr(line)):
             read_matrix_market(path)
 
     def test_rejects_duplicate_entries(self, tmp_path):
