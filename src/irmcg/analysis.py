@@ -8,6 +8,8 @@ where the two relative-norm curves separate.
 """
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arithmetic import (
@@ -62,7 +64,7 @@ def field_for(tag):
     raise FormatError("unknown arithmetic tag %r" % tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One row of a trace: state after step i (row 0 is the start)."""
 
@@ -77,6 +79,60 @@ class StepRecord:
             raise ValueError("rr must be nonnegative")
 
 
+def _column(values):
+    """array('d') when every value is a float, else a tuple."""
+    if all(type(v) is float for v in values):
+        return array("d", values)
+    return tuple(values)
+
+
+class Records(Sequence):
+    """A trace's rows, held by column; row k is read as StepRecord k.
+
+    An f64 run keeps one row per step, up to max_steps of them: its rr
+    and energy columns are array('d'), 8 bytes a value, in place of a
+    float object each and a record object per row.  Exact columns are
+    tuples of Fractions.
+    """
+
+    __slots__ = ("_rr", "_energy", "_flags")
+
+    def __init__(self, records):
+        records = tuple(records)
+        for pos, rec in enumerate(records):
+            if rec.i != pos:
+                raise ValueError("records must be consecutively indexed from 0")
+        self._rr = _column([rec.rr for rec in records])
+        self._energy = _column([rec.energy for rec in records])
+        self._flags = bytes(rec.refreshed + 2 * rec.perturbed for rec in records)
+
+    def _row(self, k):
+        flags = self._flags[k]
+        return StepRecord(k, self._rr[k], self._energy[k], bool(flags & 1), bool(flags & 2))
+
+    def __len__(self):
+        return len(self._flags)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self._row, range(len(self))[k]))
+        return self._row(range(len(self))[k])
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (Records, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return "Records(%r)" % (tuple(self),)
+
+
 @dataclass(frozen=True)
 class ConvergenceTrace:
     method: str
@@ -87,17 +143,14 @@ class ConvergenceTrace:
     max_steps: int
     seed: int
     termination: str
-    records: tuple
+    records: Records
 
     def __post_init__(self):
         if self.arith not in (E_TAG, DP_TAG):
             raise ValueError("arith must be %r or %r" % (E_TAG, DP_TAG))
         if self.termination not in TERMINATIONS:
             raise ValueError("unknown termination %r" % self.termination)
-        object.__setattr__(self, "records", tuple(self.records))
-        for pos, rec in enumerate(self.records):
-            if rec.i != pos:
-                raise ValueError("records must be consecutively indexed from 0")
+        object.__setattr__(self, "records", Records(self.records))
 
     @property
     def field(self):

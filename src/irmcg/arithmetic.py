@@ -13,8 +13,10 @@ decimal string.  A separate decimal parser exists for human-authored
 input (tolerances, thresholds, file entries).
 """
 
+import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +37,30 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+
+
+def any_size(fn):
+    """fn with Python's limit on int <-> decimal string conversions lifted.
+
+    CPython (3.10.7 and later) refuses to convert ints of more than 4300
+    digits to or from text; rationals here reach the --max-bits budget,
+    about 301,000 digits at its default.  The limit is restored on
+    return.  Where the interpreter has no such limit, fn is returned as
+    it is.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return fn
+
+    @functools.wraps(fn)
+    def unlimited(*args, **kwargs):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    return unlimited
 
 
 def rationalize(x):
@@ -97,6 +123,7 @@ class BitBudget:
             )
 
 
+@any_size
 def parse_rational(text):
     """Parse a rational literal: optional sign, integer, optional /positive-integer.
 
@@ -127,6 +154,7 @@ def parse_decimal(text):
         raise FormatError("not a number: %r" % text) from None
 
 
+@any_size
 def format_rational(q):
     """Serialize an exact rational as num/den (denominator always shown)."""
     return "%d/%d" % (q.numerator, q.denominator)

@@ -16,11 +16,14 @@ Everything is exact and, where randomness is involved, driven by an
 explicit seed.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arithmetic import EXACT, ZERO, parse_rational
+import numpy as np
+
+from .arithmetic import EXACT, ZERO, any_size, parse_rational
 from .errors import (
     DimensionError,
     ExactRequired,
@@ -130,13 +133,18 @@ def rhs_entries(rule, values, seed, active):
     return out
 
 
-def gen_diagonal(spec):
-    """Realize the spectrum directly: (diagonal matrix, rhs, m)."""
+def _diagonal_system(spec):
+    """The spectrum's diagonal entries and right-hand side, as lists."""
     diag, active = [], []
     for eig, mult, loaded in spec.items:
         diag.extend([eig] * mult)
         active.extend([loaded] * mult)
-    b = rhs_entries(spec.rhs_rule, spec.rhs_values, spec.rhs_seed, active)
+    return diag, rhs_entries(spec.rhs_rule, spec.rhs_values, spec.rhs_seed, active)
+
+
+def gen_diagonal(spec):
+    """Realize the spectrum directly: (diagonal matrix, rhs, m)."""
+    diag, b = _diagonal_system(spec)
     return SymmetricMatrix.diagonal(diag), Vector.exact(b), spec.m
 
 
@@ -185,26 +193,46 @@ def gen_rotated(spec, plan):
 
     Each step applies G . A . G^T and G . b with G the plane rotation on
     (i, j); the spectrum is untouched, the entries fill in.
+
+    The work is a congruence of integers: A_kl = M_kl / (s_k s_l) and
+    b_k = v_k / (w s_k), with M and v integer, per-index scales s and
+    one rhs denominator w.  For a step, s_i and s_j are lifted to their
+    lcm t; as the scale is then one number on rows and columns i and j,
+    G commutes with it, and with c = c'/q, s = s'/q over their common
+    denominator q, M mixes by the integers c', s' and s_i = s_j = q t.
+    Fractions, and their gcds, are formed once, at the end.
     """
-    D, b, m = gen_diagonal(spec)
-    n = D.n
-    full = D.full()
-    rhs = list(b.data)
+    diag, rhs = _diagonal_system(spec)
+    n = len(diag)
+    scale = [q.denominator for q in diag]
+    M = np.zeros((n, n), dtype=object)
+    M[range(n), range(n)] = [q.numerator * q.denominator for q in diag]
+    w = math.lcm(*(q.denominator for q in rhs))
+    v = np.array([q.numerator * (w // q.denominator) * s for q, s in zip(rhs, scale)],
+                 dtype=object)
     for i, j, c, s in plan.steps:
         if i >= n or j >= n:
             raise DimensionError("rotation index out of range for n = %d" % n)
-        for k in range(n):  # G A (row mix)
-            ai, aj = full[i][k], full[j][k]
-            full[i][k] = c * ai - s * aj
-            full[j][k] = s * ai + c * aj
-        for k in range(n):  # (G A) G^T (column mix)
-            ai, aj = full[k][i], full[k][j]
-            full[k][i] = c * ai - s * aj
-            full[k][j] = s * ai + c * aj
-        bi, bj = rhs[i], rhs[j]
-        rhs[i] = c * bi - s * bj
-        rhs[j] = s * bi + c * bj
-    return SymmetricMatrix.from_rows(full), Vector.exact(rhs), m
+        t = math.lcm(scale[i], scale[j])
+        for k in (i, j):
+            if t != scale[k]:
+                f = t // scale[k]
+                M[k, :] *= f
+                M[:, k] *= f
+                v[k] *= f
+        q = math.lcm(c.denominator, s.denominator)
+        c, s = c.numerator * (q // c.denominator), s.numerator * (q // s.denominator)
+        mi, mj = M[i, :].copy(), M[j, :].copy()  # G M (row mix)
+        M[i, :], M[j, :] = c * mi - s * mj, s * mi + c * mj
+        mi, mj = M[:, i].copy(), M[:, j].copy()  # (G M) G^T (column mix)
+        M[:, i], M[:, j] = c * mi - s * mj, s * mi + c * mj
+        v[i], v[j] = c * v[i] - s * v[j], s * v[i] + c * v[j]
+        scale[i] = scale[j] = q * t
+    rows, cols = np.tril_indices(n)
+    values = [Fraction(M[k, l], scale[k] * scale[l])
+              for k, l in zip(rows.tolist(), cols.tolist())]
+    b = [Fraction(vk, w * sk) for vk, sk in zip(v.tolist(), scale)]
+    return SymmetricMatrix(n, rows, cols, values), Vector.exact(b), spec.m
 
 
 def gen_inverse(A, x_star):
@@ -324,6 +352,7 @@ def parse_spectrum_lines(lines):
         raise FormatError(str(exc)) from None
 
 
+@any_size
 def write_spectrum_file(spec, path):
     lines = []
     for eig, mult, active in spec.items:

@@ -7,13 +7,20 @@ vector operations are therefore written once; the backend only picks
 the scalar type that arguments and inner products are coerced to.
 
 A symmetric matrix is stored alike in both backends, as compressed
-sparse rows of its full pattern with ``data`` stored as a vector's is.
-So one matvec, ``np.add.reduceat(data * v[indices], indptr[:-1])``,
-serves both: f64 sums each row's products in ``add.reduceat`` order,
-not BLAS order, except for a matrix with all n^2 entries stored, whose
-data is its row-major square and goes to BLAS.  Dense algorithms (the
-certificate and the f64 check of the SPD gate, the eigenvalue
-estimate) work on the square that ``SymmetricMatrix.full`` returns.
+sparse rows of its full pattern.  Its f64 ``data`` is float64; its
+exact ``data`` holds Python int numerators over one common
+denominator ``den`` (E. H. Bareiss's fraction-free idea), so no
+Fraction, and no gcd, is formed inside a matvec.  One matvec,
+``np.add.reduceat(data * v[indices], indptr[:-1])``, serves both: the
+exact lane first scales v to integers over the lcm of its denominators
+and divides each row's integer sum once at the end; f64 sums each
+row's products in ``add.reduceat`` order, not BLAS order, except for a
+matrix with all n^2 entries stored, whose data is its row-major square
+and goes to BLAS.  Fractions are formed only where values leave the
+storage (``entry``, ``diag``, ``full``, snapping, files, the SPD gate);
+demotion divides each numerator by ``den`` directly.  Dense algorithms (the certificate and the f64 check of the SPD
+gate, the eigenvalue estimate) work on the square that
+``SymmetricMatrix.full`` returns.
 """
 
 import itertools
@@ -28,6 +35,7 @@ from .arithmetic import (
     SCALAR,
     ZERO,
     BitBudget,
+    any_size,
     demote,
     parse_rational,
     rationalize,
@@ -113,23 +121,39 @@ class Vector:
         return not self.data.any()
 
 
+def _numerators(values):
+    """Object array of int numerators over den, the lcm of values' denominators."""
+    values = [e if isinstance(e, Fraction) else Fraction(e) for e in values]
+    den = math.lcm(*(q.denominator for q in values))
+    nums = np.empty(len(values), dtype=object)
+    nums[:] = [q.numerator * (den // q.denominator) for q in values]
+    return nums, den
+
+
 class SymmetricMatrix:
     """Symmetric matrix over one scalar backend, as compressed sparse rows.
 
     Row i holds ``data[indptr[i]:indptr[i+1]]`` in the sorted columns
     ``indices[indptr[i]:indptr[i+1]]``; the arrays are read-only.  Every
     diagonal entry is stored, even a zero one, so no row is empty (which
-    ``reduceat`` needs), and no off-diagonal zero is: equal matrices have
-    equal arrays.  The _spd slot caches spd_check's outcome (None: unknown).
+    ``reduceat`` needs), and no off-diagonal zero is.  f64 ``data`` holds
+    the entries (``den`` is None); exact ``data`` holds Python ints, the
+    entries times ``den``, the least common denominator of the stored
+    entries, so the entry at k is ``Fraction(data[k], den)``.  Equal
+    matrices have equal arrays and equal ``den``.  The _spd slot caches
+    spd_check's outcome (None: unknown).
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "field", "_spd")
+    __slots__ = ("n", "indptr", "indices", "data", "den", "field", "_spd")
 
     def __init__(self, n, rows, cols, values, field=EXACT):
         """Order-n matrix from lower-triangle coordinates, each given once; the rest is 0."""
         if n < 1:
             raise DimensionError("matrix order must be >= 1")
-        vals = _array(values, field, "matrix")
+        if field == EXACT:
+            vals, den = _numerators(values)
+        else:
+            vals, den = _array(values, field, "matrix"), None
         rows, cols = (np.asarray(x, dtype=np.intp) for x in (rows, cols))
         if vals.ndim != 1 or rows.shape != vals.shape or cols.shape != vals.shape:
             raise DimensionError("need one row and one column index per value")
@@ -140,7 +164,7 @@ class SymmetricMatrix:
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("a matrix position is given twice")
         on = rows == cols
-        diag = np.full(n, SCALAR[field](0), dtype=vals.dtype)
+        diag = np.zeros(n, dtype=vals.dtype)
         diag[rows[on]] = vals[on]
         off = ~on & (vals != 0)
         every = np.arange(n)
@@ -152,7 +176,7 @@ class SymmetricMatrix:
         self.data = np.concatenate((vals[off], vals[off], diag))[order]
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
-        self.n, self.field, self._spd = n, field, None
+        self.n, self.den, self.field, self._spd = n, den, field, None
 
     @classmethod
     def diagonal(cls, entries, field=EXACT):
@@ -196,26 +220,35 @@ class SymmetricMatrix:
         """Row index of every stored entry."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
+    def _values(self, where=slice(None)):
+        """Stored entries (all, or those ``where`` selects) as the backend's scalars."""
+        data = self.data[where]
+        if self.field == F64:
+            return data
+        out = np.empty(data.size, dtype=object)
+        out[:] = [Fraction(e, self.den) for e in data.tolist()]
+        return out
+
     def entry(self, i, j):
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise DimensionError("index out of range")
         lo = self.indptr[i]
         hit = np.flatnonzero(self.indices[lo:self.indptr[i + 1]] == j)
-        return self.data[lo + hit[0]] if hit.size else SCALAR[self.field](0)
+        return self._values(lo + hit)[0] if hit.size else SCALAR[self.field](0)
 
     def diag(self):
-        return list(self.data[self.indices == self._rows()])
+        return list(self._values(self.indices == self._rows()))
 
     def full(self):
         """Full square copy: a writable ndarray (f64) or a list of rows (exact)."""
         out = np.full((self.n, self.n), SCALAR[self.field](0), dtype=self.data.dtype)
-        out[self._rows(), self.indices] = self.data
+        out[self._rows(), self.indices] = self._values()
         return out if self.field == F64 else out.tolist()
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricMatrix):
             return NotImplemented
-        return self.field == other.field and all(
+        return self.field == other.field and self.den == other.den and all(
             np.array_equal(getattr(self, a), getattr(other, a))
             for a in ("indptr", "indices", "data")
         )
@@ -277,21 +310,31 @@ _BLOCK = 1024
 def matvec(A, v):
     """Product A v: each row's products, summed (both backends).
 
-    An f64 matrix with all n^2 entries stored is, in CSR, its row-major
-    square, so BLAS multiplies its data as it lies.
+    Exact: v is scaled to int numerators over L, the lcm of its
+    denominators, the rows are summed in ints, and each row's sum over
+    den * L is reduced once.  An f64 matrix with all n^2 entries stored
+    is, in CSR, its row-major square, so BLAS multiplies its data as it
+    lies.
     """
     field = _lane(A, v)
     if field == F64 and A.data.size == A.n * A.n:
         return Vector(A.data.reshape(A.n, A.n) @ v.data, F64)
+    x = v.data
+    if field == EXACT:
+        x, scale = _numerators(x)
+        scale *= A.den
     step = _BLOCK if field == EXACT else A.data.size
     # A block ends before the first row that starts at a multiple of step or later.
     cuts = sorted({0, A.n, *np.searchsorted(A.indptr, range(step, A.data.size, step)).tolist()})
     sums = []
     for r0, r1 in zip(cuts, cuts[1:]):
         lo, hi = A.indptr[r0], A.indptr[r1]
-        products = A.data[lo:hi] * v.data[A.indices[lo:hi]]
+        products = A.data[lo:hi] * x[A.indices[lo:hi]]
         sums.append(np.add.reduceat(products, A.indptr[r0:r1] - lo))
-    return Vector(np.concatenate(sums), field)
+    sums = np.concatenate(sums)
+    if field == EXACT:
+        sums = [Fraction(s, scale) for s in sums.tolist()]
+    return Vector(sums, field)
 
 
 class RitzSystem:
@@ -485,7 +528,7 @@ def _spd_certificate(A):
     rows = A._rows()
     low = rows >= A.indices
     rows, cols = rows[low].tolist(), A.indices[low].tolist()
-    for i, j, a, t in zip(rows, cols, A.data[low], At[rows, cols].tolist()):
+    for i, j, a, t in zip(rows, cols, A._values(low), At[rows, cols].tolist()):
         r = a - Fraction(t)
         if i == j:
             r_diag[i] = r
@@ -515,14 +558,15 @@ def _spd_ldlt(A, budget):
     is worked.  Pivot i is the ratio of the leading minors of orders i+1, i.
     """
     zero = SCALAR[A.field](0)
-    pivots = np.empty(A.n, dtype=A.data.dtype)
+    values = A._values()
+    pivots = np.empty(A.n, dtype=values.dtype)
     rows = []  # (first column f, L[i, f:i])
     for i in range(A.n):
         cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
         low = cols <= i
         f = cols[0]
         w = np.full(i + 1 - f, zero, dtype=pivots.dtype)
-        w[cols[low] - f] = A.data[A.indptr[i]:A.indptr[i + 1]][low]
+        w[cols[low] - f] = values[A.indptr[i]:A.indptr[i + 1]][low]
         for j in range(f, i):
             fj, lj = rows[j]
             g = max(f, fj)
@@ -565,7 +609,8 @@ def condition_estimate(A):
     ensure_spd(A)
     if A.kind == DIAGONAL:
         if A.field == EXACT:
-            return demote(max(A.data) / min(A.data))
+            # The common denominator cancels.
+            return demote(Fraction(max(A.data), min(A.data)))
         return float(np.max(A.data) / np.min(A.data))
     eig = np.linalg.eigvalsh(demote_matrix(A).full())
     if eig[0] <= 0.0:
@@ -580,7 +625,10 @@ def demote_vector(v):
 
 
 def _map_lower(A, fn, field, spd=None):
-    """A's stored lower triangle through fn: A's pattern, less new zeros off the diagonal."""
+    """A's stored lower triangle through fn: A's pattern, less new zeros off the diagonal.
+
+    fn maps a stored datum: a double, or an exact numerator over A.den.
+    """
     rows = A._rows()
     low = rows >= A.indices
     values = list(map(fn, A.data[low].tolist()))
@@ -591,7 +639,17 @@ def _map_lower(A, fn, field, spd=None):
 
 def demote_matrix(A):
     """A in f64; the conversion keeps a known SPD verdict."""
-    return A if A.field == F64 else _map_lower(A, demote, F64, A._spd)
+    if A.field == F64:
+        return A
+
+    def rounded(num):
+        # Int true division rounds correctly, as demote does, without the gcd.
+        try:
+            return num / A.den
+        except OverflowError:
+            return demote(Fraction(num, A.den))  # raises ScalarOverflow
+
+    return _map_lower(A, rounded, F64, A._spd)
 
 
 def rationalize_vector(v):
@@ -607,7 +665,7 @@ def rationalize_matrix(A):
 def snap_matrix(A, threshold):
     if A.field != EXACT:
         raise ExactRequired("zero snapping operates on exact data")
-    return _map_lower(A, lambda e: snap_zero(e, threshold), EXACT)
+    return _map_lower(A, lambda e: snap_zero(Fraction(e, A.den), threshold), EXACT)
 
 
 def snap_vector(v, threshold):
@@ -626,24 +684,26 @@ def snap_vector(v, threshold):
 # Whitespace (including newlines) separates entries.
 
 
+@any_size
 def write_matrix(A, path):
     if A.field != EXACT:
         raise ExactRequired("matrix files store exact rationals")
     if A.kind == DIAGONAL:
-        lines = ["diagonal %d" % A.n] + [str(e) for e in A.data]
+        lines = ["diagonal %d" % A.n] + [str(q) for q in A._values()]
     else:
         lines = ["symmetric %d" % A.n]
-        indices = A.indices.tolist()
+        indices, data = A.indices.tolist(), A.data.tolist()
         for i in range(A.n):
             row = ["0"] * (i + 1)
             for k in range(A.indptr[i], A.indptr[i + 1]):
                 if indices[k] > i:
                     break
-                row[indices[k]] = str(A.data[k])
+                row[indices[k]] = str(Fraction(data[k], A.den))
             lines.append(" ".join(row))
     _write_text(path, "\n".join(lines) + "\n")
 
 
+@any_size
 def write_vector(v, path):
     if v.field != EXACT:
         raise ExactRequired("vector files store exact rationals")

@@ -13,14 +13,39 @@ def unpack(A):
 
     Reads the compressed-row arrays directly, so that the package's
     own ``full``, ``entry`` and matvec are never used to check
-    themselves.
+    themselves.  Exact entries are int numerators over ``A.den``.
     """
     n = A.n
+    den = 1 if A.den is None else A.den
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for k in range(int(A.indptr[i]), int(A.indptr[i + 1])):
-            rows[i][int(A.indices[k])] = Fraction(A.data[k])
+            rows[i][int(A.indices[k])] = Fraction(A.data[k]) / den
     return rows
+
+
+def rotate(diag, rhs, steps):
+    """diag(diag) and rhs pushed through plane rotations (i, j, cos, sin).
+
+    Each step applies G . A . G^T and G . b in Fractions, entry by
+    entry: (full square list of rows, rhs list).
+    """
+    n = len(diag)
+    full = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rhs = [Fraction(e) for e in rhs]
+    for i, j, c, s in steps:
+        for k in range(n):  # G A (row mix)
+            ai, aj = full[i][k], full[j][k]
+            full[i][k] = c * ai - s * aj
+            full[j][k] = s * ai + c * aj
+        for k in range(n):  # (G A) G^T (column mix)
+            ai, aj = full[k][i], full[k][j]
+            full[k][i] = c * ai - s * aj
+            full[k][j] = s * ai + c * aj
+        bi, bj = rhs[i], rhs[j]
+        rhs[i] = c * bi - s * bj
+        rhs[j] = s * bi + c * bj
+    return full, rhs
 
 
 def full_matvec(rows, vec):

@@ -100,6 +100,27 @@ class TestTraceTypes:
         with pytest.raises(ValueError):
             exact_trace([], records=records)
 
+    def test_records_read_back_as_given(self):
+        # Rows are held by column (f64 floats in arrays) and read back as
+        # the StepRecords they were given as, by index, slice and iteration.
+        given = (
+            StepRecord(0, 4.0, -0.0, True, False),
+            StepRecord(1, 2.5, math.inf, False, True),
+            StepRecord(2, 0.0, -1.5, True, True),
+        )
+        t = double_trace([], records=given)
+        assert tuple(t.records) == given and t.records == given
+        assert t.records[-1] == given[-1] and t.records[1:] == given[1:]
+        assert math.copysign(1.0, t.records[0].energy) == -1.0
+        assert len(t.records) == 3 and t.steps == 2
+        with pytest.raises(IndexError):
+            t.records[3]
+        e = exact_trace([4, F(1, 3)], energies=[F(-1, 2), None])
+        assert [(r.rr, r.energy) for r in e.records] == [(4, F(-1, 2)), (F(1, 3), None)]
+        assert e == exact_trace([4, F(1, 3)], energies=[F(-1, 2), None])
+        assert e != exact_trace([4, F(1, 5)], energies=[F(-1, 2), None])
+        assert hash(e.records) == hash(tuple(e.records))
+
     def test_unknown_arith_tag(self):
         with pytest.raises(ValueError):
             exact_trace([4, 1], arith="Q")

@@ -175,6 +175,29 @@ class TestGenRotated:
         assert A.full() == D.full()
         assert b == bd
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 7), st.integers(0, 14), st.booleans())
+    def test_matches_fraction_rotation_oracle(self, seed, n, count, explicit):
+        # Fractional eigenvalues, an explicit fractional rhs, and plans that
+        # reuse indices (and whole pairs, back to back) against the plain
+        # Fraction loop.
+        rng = random.Random(seed)
+        eigs = rng.sample([F(1), F(3, 7), F(5, 2), F(11, 6), F(9), F(13, 10), F(2, 9)], n)
+        rhs = [F(3, 7)] + [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n - 1)]
+        items = tuple((e, 1, q != 0 or not explicit) for e, q in zip(eigs, rhs))
+        spec = (SpectrumSpec(items, rhs_rule=RHS_EXPLICIT, rhs_values=rhs) if explicit
+                else SpectrumSpec(items, rhs_rule=RHS_RANDOM, rhs_seed=seed))
+        steps = list(random_plan(n, count, seed).steps)
+        if steps:
+            steps.insert(rng.randrange(len(steps)), steps[rng.randrange(len(steps))])
+        plan = RotationPlan(tuple(steps))
+        D, bd, m = gen_diagonal(spec)
+        rows, want_b = oracles.rotate(D.diag(), list(bd.data), plan.steps)
+        A, b, m_rot = gen_rotated(spec, plan)
+        assert oracles.unpack(A) == rows
+        assert list(b.data) == want_b
+        assert m_rot == m
+
     def test_index_out_of_range(self):
         spec = SpectrumSpec(((1, 1, True), (4, 1, True)))
         with pytest.raises(DimensionError):

@@ -19,7 +19,8 @@ from irmcg.cli import (
     manifest_from_argv,
     run_manifest,
 )
-from irmcg.linalg import SymmetricMatrix, read_matrix, read_vector, spd_check
+from irmcg.analysis import emit_csv, parse_csv
+from irmcg.linalg import SymmetricMatrix, read_matrix, read_vector, spd_check, write_vector
 
 
 def run(argv, capsys):
@@ -275,6 +276,31 @@ class TestSolve:
         assert code == EXIT_OK and err == ""
         assert "# termination converged" in out
         assert out.splitlines()[-1].startswith("2,0/1,")
+
+    def test_rationals_beyond_the_int_string_limit(self, tmp_path, capsys):
+        # Exact Jacobi IRM on this rotated system passes 4300 decimal digits,
+        # Python's default limit on int <-> str conversions, within 8 steps:
+        # the trace is written, and read back whole.
+        a_path, b_path, _ = gen_system(tmp_path, capsys, "--spectrum", "1x2,2x2,3x2",
+                                       "--rotate", "12", "--seed", "5")
+        trace = tmp_path / "t.csv"
+        code, _, err = run(["solve", a_path, b_path, "--method", "irm", "--generator",
+                            "jacobi-residual+increment", "--max-steps", "8", "-o", str(trace)],
+                           capsys)
+        assert code == EXIT_NOT_CONVERGED, err
+        parsed = parse_csv(str(trace))
+        assert max(r.rr.denominator.bit_length() for r in parsed.records) > 4300 * 3.33
+        text = io.StringIO()
+        emit_csv(parsed, text)
+        assert text.getvalue() == trace.read_text()
+        # Vector files take such literals too, and write them back unchanged.
+        literal = "-1" + "0" * 5000 + "/3"
+        vec = tmp_path / "v.txt"
+        vec.write_text("vector 2\n%s\n7\n" % literal)
+        v = read_vector(str(vec))
+        assert v.data[0] == F(-10**5000, 3)
+        write_vector(v, str(tmp_path / "w.txt"))
+        assert (tmp_path / "w.txt").read_text() == vec.read_text()
 
     @pytest.mark.parametrize("field, line", [
         ("real", "2 1 inf"),

@@ -40,6 +40,12 @@ CASES = {
         ["--spectrum", "1x2,2x2,3x2", "--rotate", "12", "--seed", "5"],
         [CG, IRM_CG, (JACOBI + ["--max-bits", "4096"], EXIT_BUDGET)],
     ),
+    # The benchmark's system: n = 60, twelve eigenvalues of multiplicity 5.
+    "rotated-n60": (
+        ["--spectrum", ",".join("%dx5" % k for k in range(1, 13)), "--rotate", "180",
+         "--seed", "100", "--rhs", "random"],
+        [CG],
+    ),
     "chain": (
         ["--chain", "20", "--stiff", ",".join(str(1 + k % 4) for k in range(21)),
          "--rhs", "random", "--seed", "3"],
@@ -58,6 +64,9 @@ PINS = {
     "rotated/solve0.csv": "9aa186263d5f98a9a9b19182284f38580a5a806dc736c4dddb1a66be388b8807",
     "rotated/solve1.csv": "070f61aa9f567b6368981244056493db571b5a96a25299d74be3d6944c1711d4",
     "rotated/solve2.csv": "7aeebd99ddba5eb8d3006f454d43edd46b20527454949057b8886bdf8b12272f",
+    "rotated-n60/A.txt": "1b9e470af8cdbe19d88cc2acd3415fdc59a1064053cf85e140d1a01026d6dba2",
+    "rotated-n60/b.txt": "9f8d4b25cb15ae0367bcdc5e1b9219e23fbad61a704b59833c84b648ae61235a",
+    "rotated-n60/solve0.csv": "f7f8046e27f52a53d9478c5566cfdd75a30b0a418c84f6721e5c5e8c230a4b77",
     "chain/A.txt": "5dc1de9eb7b765c722c5ec688953c1dc8b72cadf1e4ce59538381fa945c3743e",
     "chain/b.txt": "4fb983f0cf9da6528aaae2d03ba35b0633f8ad4b53db09652f7b7658492dfd5f",
     "chain/solve0.csv": "33567e3ff080c97c4305b76b86e3b679afc91f7257b10523c474fcbeaaa7db20",

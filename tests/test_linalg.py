@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from irmcg.errors import (
     FormatError,
     InvalidScalar,
     NotSPD,
+    ScalarOverflow,
     SingularRitzSystem,
 )
 from irmcg.linalg import (
@@ -67,6 +69,24 @@ def random_spd(rng, n):
         for i in range(n)
     ]
     return SymmetricMatrix.from_rows(rows)
+
+
+def random_rational(rng):
+    """Small, or (one in five) over 4096 bits, over unrelated denominators."""
+    big = rng.random() < 0.2
+    num = rng.randint(-2**4100, 2**4100) if big else rng.randint(-9, 9)
+    return F(num, rng.choice([3, 7, 11, 13, 2**61 - 1, 2**127 - 1]) ** rng.randint(0, 2))
+
+
+def random_sparse(rng, n):
+    """Random exact symmetric matrix with random_rational entries and one zero row."""
+    zero_row = rng.randrange(n)
+    coords = [(i, j) for i in range(n) for j in range(i + 1)
+              if zero_row not in (i, j) and (i == j or rng.random() < 0.4)]
+    A = SymmetricMatrix(n, [i for i, _ in coords], [j for _, j in coords],
+                        [random_rational(rng) for _ in coords])
+    assert not any(oracles.unpack(A)[zero_row])
+    return A
 
 
 class TestVector:
@@ -171,11 +191,16 @@ class TestMatvec:
         # Blocks end at row boundaries; a row longer than a block is one block.
         monkeypatch.setattr(linalg, "_BLOCK", block)
         rng = random.Random(block)
-        for A in (random_spd(rng, 8), gen_spring_chain(9, range(1, 11)),
-                  SymmetricMatrix.diagonal([1, 0, 3])):
-            v = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(A.n)]
-            want = oracles.full_matvec(oracles.unpack(A), v)
-            assert list(matvec(A, Vector.exact(v)).data) == want
+        matrices = [random_spd(rng, 8), gen_spring_chain(9, range(1, 11)),
+                    SymmetricMatrix.diagonal([1, 0, 3])]
+        matrices += [random_sparse(rng, n) for n in [1, 2, 5, 12, 40] * 3]
+        for A in matrices:
+            rows = oracles.unpack(A)
+            for v in ([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(A.n)],
+                      [random_rational(rng) for _ in range(A.n)], [F(0)] * A.n):
+                got = matvec(A, Vector.exact(v))
+                assert list(got.data) == oracles.full_matvec(rows, v)
+                assert all(isinstance(q, F) for q in got.data)
 
     def test_dimension_mismatch(self):
         A = SymmetricMatrix.diagonal([1, 2])
@@ -273,7 +298,9 @@ class TestF64Storage:
     def test_exact_constructors_keep_fractions(self):
         q = F(2, 3)
         assert Vector.exact([q, 1]).data[0] is q
-        assert SymmetricMatrix.diagonal([q, 1]).data[0] is q
+        # A matrix keeps the value, as an int numerator over its one denominator.
+        A = SymmetricMatrix.diagonal([q, 1])
+        assert F(A.data[0], A.den) == q
 
     def test_coordinates_outside_the_lower_triangle_rejected(self):
         with pytest.raises(DimensionError):
@@ -320,6 +347,11 @@ CONSTRUCTIONS = {
 }
 
 
+def _stored(A, k):
+    """Value of stored entry k: a double, or an int numerator over A.den."""
+    return A.data[k] if A.field == F64 else F(A.data[k], A.den)
+
+
 @pytest.mark.parametrize("how", sorted(CONSTRUCTIONS))
 def test_storage_invariants(how, tmp_path):
     A = CONSTRUCTIONS[how](tmp_path)
@@ -332,8 +364,11 @@ def test_storage_invariants(how, tmp_path):
         cols = A.indices[lo:hi].tolist()
         assert cols == sorted(set(cols)), "indices sorted within the row"
         assert i in cols, "every diagonal entry stored"
-        stored.update(((i, j), A.data[k]) for j, k in zip(cols, range(lo, hi)))
+        stored.update(((i, j), _stored(A, k)) for j, k in zip(cols, range(lo, hi)))
     assert all(v != 0 for (i, j), v in stored.items() if i != j), "no off-diagonal zero"
+    if A.field == EXACT:
+        nums = A.data.tolist()
+        assert all(type(e) is int for e in nums) and math.gcd(A.den, *nums) == 1, "least den"
     assert all(stored.get((j, i)) == v for (i, j), v in stored.items()), "symmetric"
     assert oracles.unpack(A) == [[F(e) for e in row] for row in A.full()]
 
@@ -635,6 +670,21 @@ class TestConversions:
             for j in range(A.n):
                 assert back.entry(i, j) == F(float(D.entry(i, j)))
         assert demote_matrix(back) == D
+
+    def test_demote_matrix_rounds_each_entry_as_demote(self):
+        # 80-bit numerators over a small and over a huge common denominator
+        # (rounding the numerator to a double first would be wrong), and
+        # ties, signs, subnormals and the largest double.
+        rng = random.Random(8)
+        extremes = [F(2**53 + 1), F(-(2**54 + 2), 2), F(1, 2**1075), F(3, 2**1076),
+                    F(2**1023 * (2**53 - 1), 2**52)]
+        groups = [[F(rng.randint(-2**80, 2**80), rng.choice(dens)) for _ in range(200)]
+                  for dens in ([3, 7, 11], [3, 7, 2**61 - 1, 10**300, 2**1074, 2**1075])]
+        for values in groups + [extremes]:
+            A = SymmetricMatrix.diagonal(values)
+            assert demote_matrix(A).diag() == [demote(q) for q in values]
+        with pytest.raises(ScalarOverflow):
+            demote_matrix(SymmetricMatrix.diagonal([F(2**1024), F(1, 3)]))
 
     def test_vector_round_trip(self):
         v = Vector.exact([F(1, 2), 3])
