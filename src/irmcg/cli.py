@@ -8,8 +8,8 @@ re-running a manifest reproduces the output byte for byte.
 
 Exit codes: 0 solved, 1 step limit hit without convergence, 2 usage or
 malformed input, 3 matrix not SPD, 4 bit budget exceeded, 5 traces not
-comparable, 6 numerical failure (an f64 overflow or NaN, a singular
-projected system, a breakdown, or a generator with no usable vectors).
+comparable, 6 numerical failure (an f64 overflow or NaN, a breakdown,
+or a generator with no usable vectors).
 """
 
 import argparse
@@ -47,7 +47,6 @@ from .errors import (
     NotSPD,
     NumericalBreakdown,
     ScalarOverflow,
-    SingularRitzSystem,
     ZeroInitialResidual,
 )
 from .linalg import (
@@ -88,7 +87,6 @@ _USAGE_ERRORS = (
 _NUMERICAL_ERRORS = (
     InvalidScalar,
     ScalarOverflow,
-    SingularRitzSystem,
     NumericalBreakdown,
     GeneratorError,
 )
@@ -169,8 +167,11 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def manifest_from_argv(argv):
-    ns = _build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
     return RunManifest(subcommand=ns.subcommand, options=options)
 
@@ -188,34 +189,34 @@ def _parse_rhs_option(text, seed):
 
 
 def _run_gen(opts, out):
-    sources = [opts.get("spectrum"), opts.get("spectrum_file"), opts.get("chain")]
+    sources = [opts["spectrum"], opts["spectrum_file"], opts["chain"]]
     if sum(s is not None for s in sources) != 1:
         raise FormatError("give exactly one of --spectrum, --spectrum-file, --chain")
-    rhs = opts.get("rhs")
-    if opts.get("spectrum_file") is not None and rhs is not None:
+    rhs = opts["rhs"]
+    if opts["spectrum_file"] is not None and rhs is not None:
         raise FormatError(
             "--rhs does not apply to --spectrum-file: the file's rhs line sets the right-hand side"
         )
-    seed = opts.get("seed", 0)
+    seed = opts["seed"]
     rule, values, rhs_seed = _parse_rhs_option("ones" if rhs is None else rhs, seed)
     outdir = opts["out"]
     os.makedirs(outdir, exist_ok=True)
     m = None
-    if opts.get("chain") is not None:
-        if not opts.get("stiff"):
+    if opts["chain"] is not None:
+        if not opts["stiff"]:
             raise FormatError("--chain needs --stiff")
         n = opts["chain"]
         ks = [parse_decimal(t) for t in opts["stiff"].split(",")]
         A = benchgen.gen_spring_chain(n, ks)
         b = Vector.exact(benchgen.rhs_entries(rule, values, rhs_seed, [True] * n))
     else:
-        if opts.get("spectrum") is not None:
+        if opts["spectrum"] is not None:
             spec = benchgen.parse_spectrum_inline(
                 opts["spectrum"], rhs_rule=rule, rhs_values=values, rhs_seed=rhs_seed
             )
         else:
             spec = benchgen.read_spectrum_file(opts["spectrum_file"])
-        rotations = opts.get("rotate", 0)
+        rotations = opts["rotate"]
         if rotations:
             plan = benchgen.random_plan(spec.n, rotations, seed)
             A, b, m = benchgen.gen_rotated(spec, plan)
@@ -237,34 +238,34 @@ def _load_matrix(path):
 def _run_solve(opts, out):
     A = _load_matrix(opts["matrix"])
     b = read_vector(opts["vector"])
-    x0 = read_vector(opts["x0"]) if opts.get("x0") else None
-    snap = opts.get("snap_zero")
+    x0 = read_vector(opts["x0"]) if opts["x0"] else None
+    snap = opts["snap_zero"]
     if snap is not None:
         threshold = parse_decimal(snap)
         A = snap_matrix(A, threshold)
         b = snap_vector(b, threshold)
-    if opts.get("arith", "exact") == "f64":
+    if opts["arith"] == "f64":
         A = demote_matrix(A)
         b = demote_vector(b)
         x0 = demote_vector(x0) if x0 is not None else None
-    perturbations = [_parse_perturbation(p) for p in opts.get("perturb", [])]
+    perturbations = [_parse_perturbation(p) for p in opts["perturb"]]
     cfg = SolverConfig(
-        method=opts.get("method", "irm-cg"),
-        omega=parse_decimal(opts.get("omega", "1")),
-        epsilon=parse_decimal(opts.get("eps", "0")),
-        refresh_k=opts.get("refresh_k"),
-        max_steps=opts.get("max_steps"),
-        generator=opts.get("generator", "residual+increment"),
-        bit_budget=BitBudget(opts.get("max_bits", 1_000_000)),
-        record_energy=not opts.get("no_energy", False),
+        method=opts["method"],
+        omega=parse_decimal(opts["omega"]),
+        epsilon=parse_decimal(opts["eps"]),
+        refresh_k=opts["refresh_k"],
+        max_steps=opts["max_steps"],
+        generator=opts["generator"],
+        bit_budget=BitBudget(opts["max_bits"]),
+        record_energy=not opts["no_energy"],
     )
     # An f64 overflow is reported once, as exit 6, by the lane's own
     # finiteness checks; NumPy's warnings about it would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         _, trace = solve(
-            A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts.get("seed", 0)
+            A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts["seed"]
         )
-    destination = opts.get("out")
+    destination = opts["out"]
     if destination is None:
         emit_csv(trace, out)
     else:
@@ -294,7 +295,7 @@ def _parse_perturbation(text):
 def _run_compare(opts, out):
     tE = parse_csv(opts["trace_e"])
     tDP = parse_csv(opts["trace_dp"])
-    report = compare(tE, tDP, gap=opts.get("gap", 1.0))
+    report = compare(tE, tDP, gap=opts["gap"])
     print(render_report(report), file=out)
     return EXIT_OK
 

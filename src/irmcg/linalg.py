@@ -365,48 +365,19 @@ class RitzSystem:
         self.field = field
 
 
-def _small_solve_exact(abar, rbar, m):
-    # Fraction-free elimination: clear denominators per equation, then
-    # Bareiss with row pivoting so intermediates stay integer and small.
-    aug = []
-    for i in range(m):
-        row = [Fraction(abar[i][j]) for j in range(m)] + [Fraction(rbar[i])]
-        scale = 1
-        for e in row:
-            scale = scale * e.denominator // math.gcd(scale, e.denominator)
-        aug.append([int(e * scale) for e in row])
-    prev = 1
-    for k in range(m):
-        pivot_row = next((r for r in range(k, m) if aug[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularRitzSystem("projected matrix is singular")
-        if pivot_row != k:
-            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        if k == m - 1:
-            break
-        for i in range(k + 1, m):
-            for j in range(k + 1, m + 1):
-                num = aug[k][k] * aug[i][j] - aug[i][k] * aug[k][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise AssertionError("fraction-free elimination lost exactness")
-                aug[i][j] = q
-            aug[i][k] = 0
-        prev = aug[k][k]
-    sol = [ZERO] * m
-    for i in range(m - 1, -1, -1):
-        s = Fraction(aug[i][m])
-        for j in range(i + 1, m):
-            s -= aug[i][j] * sol[j]
-        sol[i] = s / aug[i][i]
-    return sol
+def small_solve(sys):
+    """Solve the projected system by Gaussian elimination with partial pivoting.
 
-
-def _small_solve_f64(abar, rbar, m):
-    aug = [list(abar[i]) + [rbar[i]] for i in range(m)]
+    One algorithm serves both lanes.  In exact arithmetic the solution
+    is unique, so the pivot order does not show in it; in f64 a pivot
+    of exactly 0.0 is singular, as in exact arithmetic.  Raises
+    SingularRitzSystem on a zero pivot.
+    """
+    m = sys.m
+    aug = [list(row) + [rhs] for row, rhs in zip(sys.abar, sys.rbar)]
     for k in range(m):
         pivot_row = max(range(k, m), key=lambda r: abs(aug[r][k]))
-        if aug[pivot_row][k] == 0.0:
+        if aug[pivot_row][k] == 0:
             raise SingularRitzSystem("projected matrix is singular")
         if pivot_row != k:
             aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
@@ -414,20 +385,13 @@ def _small_solve_f64(abar, rbar, m):
             f = aug[i][k] / aug[k][k]
             for j in range(k, m + 1):
                 aug[i][j] -= f * aug[k][j]
-    sol = [0.0] * m
+    sol = [None] * m
     for i in range(m - 1, -1, -1):
         s = aug[i][m]
         for j in range(i + 1, m):
             s -= aug[i][j] * sol[j]
         sol[i] = s / aug[i][i]
-    return sol
-
-
-def small_solve(sys):
-    """Solve the projected system exactly (rational) or by partial pivoting (f64)."""
-    if sys.field == EXACT:
-        return Vector(_small_solve_exact(sys.abar, sys.rbar, sys.m), EXACT)
-    return Vector(_small_solve_f64(list(map(list, sys.abar)), list(sys.rbar), sys.m), F64)
+    return Vector(sol, sys.field)
 
 
 def spd_check(A, budget=BitBudget()):

@@ -11,7 +11,11 @@ Three methods share one harness:
   beta = A p is carried along as a linear combination.
 * ``irm``     -- the generic subspace method: a coordinate-vector
   generator emits up to M_MAX directions, the projected system is
-  solved exactly, and the new increment is the subspace minimizer.
+  solved, and the new increment is the subspace minimizer.
+
+Both subspace methods solve their projected (Ritz) system with one
+elimination, which also decides which directions to keep: while the
+system is singular the last direction is dropped.
 
 All methods run under either scalar backend.  In exact arithmetic the
 recurrences are identities, so ``cg`` and ``irm-cg`` produce the same
@@ -130,7 +134,8 @@ class SolverState:
     """State after step i; owned by exactly one run.
 
     beta caches A p for the methods that carry it (irm-cg, irm); cg
-    recomputes A p each step and leaves beta as None.  refreshed tells
+    recomputes A p each step and leaves beta as None until a converged
+    state, where p and beta are zero for every method.  refreshed tells
     whether this state's residual came from full recomputation.
     """
 
@@ -222,23 +227,45 @@ def init(A, b, x0, budget=BitBudget()):
     return SolverState(0, x0, r0, vscale(q, r0), vscale(q, Ar0), rr0)
 
 
-def _advance_x_r(state, A, b, cfg):
-    # Shared x/r update for the subspace methods (loop counter state.i).
-    om = cfg.omega
-    x1 = add_scaled(state.x, om, state.p)
+def _advance_x_r(state, A, b, cfg, step, image):
+    # Shared x/r update: x + step p, and r - step image unless the loop
+    # counter state.i calls for the true residual.
+    x1 = add_scaled(state.x, step, state.p)
     refreshed = state.i % cfg.refresh_k == 0
     if refreshed:
         r1 = vsub(b, matvec(A, x1))
     else:
-        r1 = add_scaled(state.r, -om, state.beta)
+        r1 = add_scaled(state.r, -step, image)
     return x1, r1, refreshed
 
 
-def _converged_state(state, x1, r1, rr, refreshed):
+def _converged_state(state, x1, r1, refreshed):
     zero = Vector.zeros(len(x1), x1.field)
     return SolverState(
         state.i + 1, x1, r1, zero, zero, state.rr0, converged=True, refreshed=refreshed
     )
+
+
+def _ritz_update(dirs, images, gram, rhs, field):
+    """Subspace minimizer over the leading independent directions.
+
+    Solves the projected system gram a = rhs on dirs[:m], dropping the
+    last direction while the system is singular, and returns the
+    increment sum a_j dirs[j] with its A-image sum a_j images[j].
+    Returns None when even the first direction is dependent.
+    """
+    for m in range(len(dirs), 0, -1):
+        try:
+            a = small_solve(RitzSystem([row[:m] for row in gram[:m]], rhs[:m], field))
+        except SingularRitzSystem:
+            continue
+        p1 = vscale(a[0], dirs[0])
+        beta1 = vscale(a[0], images[0])
+        for coeff, f, Af in zip(a.data[1:], dirs[1:], images[1:]):
+            p1 = add_scaled(p1, coeff, f)
+            beta1 = add_scaled(beta1, coeff, Af)
+        return p1, beta1
+    return None
 
 
 def irmcg_step(state, A, b, cfg):
@@ -254,35 +281,18 @@ def irmcg_step(state, A, b, cfg):
     """
     if state.converged:
         raise ValueError("cannot step a converged state")
-    x1, r1, refreshed = _advance_x_r(state, A, b, cfg)
+    x1, r1, refreshed = _advance_x_r(state, A, b, cfg, cfg.omega, state.beta)
     rr = dot(r1, r1)
     if rr == 0:
-        return _converged_state(state, x1, r1, rr, refreshed)
+        return _converged_state(state, x1, r1, refreshed)
     alpha = matvec(A, r1)
-    ra = dot(r1, alpha)
     rb = dot(r1, state.beta)
-    pb = dot(state.p, state.beta)
-    rp = dot(r1, state.p)
-    field = x1.field
-    try:
-        sys2 = RitzSystem([[ra, rb], [rb, pb]], [rr, cfg.omega * rp], field)
-        a = small_solve(sys2)
-        a1, a2 = a[0], a[1]
-    except SingularRitzSystem:
-        try:
-            a1 = small_solve(RitzSystem([[ra]], [rr], field))[0]
-        except SingularRitzSystem:
-            raise NumericalBreakdown("r.A r vanished with a nonzero residual") from None
-        a2 = None
-    if a2 is None:
-        p1 = vscale(a1, r1)
-        beta1 = vscale(a1, alpha)
-    else:
-        p1 = add_scaled(vscale(a1, r1), a2, state.p)
-        beta1 = add_scaled(vscale(a1, alpha), a2, state.beta)
-    new = SolverState(
-        state.i + 1, x1, r1, p1, beta1, state.rr0, refreshed=refreshed
-    )
+    gram = [[dot(r1, alpha), rb], [rb, dot(state.p, state.beta)]]
+    rhs = [rr, cfg.omega * dot(r1, state.p)]
+    update = _ritz_update([r1, state.p], [alpha, state.beta], gram, rhs, x1.field)
+    if update is None:
+        raise NumericalBreakdown("r.A r vanished with a nonzero residual")
+    new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed)
     _check_budget(new, cfg)
     return new
 
@@ -302,17 +312,9 @@ def cg_step(state, A, b, cfg):
     if pAp == 0:
         raise NumericalBreakdown("p.A p = 0 while the residual is nonzero")
     al = dot(state.p, state.r) / pAp
-    x1 = add_scaled(state.x, al, state.p)
-    refreshed = state.i % cfg.refresh_k == 0
-    if refreshed:
-        r1 = vsub(b, matvec(A, x1))
-    else:
-        r1 = add_scaled(state.r, -al, Ap)
-    rr = dot(r1, r1)
-    if rr == 0:
-        new = _converged_state(state, x1, r1, rr, refreshed)
-        new.beta = None
-        return new
+    x1, r1, refreshed = _advance_x_r(state, A, b, cfg, al, Ap)
+    if dot(r1, r1) == 0:
+        return _converged_state(state, x1, r1, refreshed)
     be = -dot(r1, Ap) / pAp
     p1 = add_scaled(r1, be, state.p)
     new = SolverState(state.i + 1, x1, r1, p1, None, state.rr0, refreshed=refreshed)
@@ -320,59 +322,37 @@ def cg_step(state, A, b, cfg):
     return new
 
 
-def _det(rows):
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = 0
-    for j in range(m):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def irm_step(state, A, b, cfg, gen=None):
     """One generic subspace step with up to M_MAX coordinate vectors.
 
-    The generator runs on the updated residual.  Dependent columns are
-    dropped (detected through the projected Gram determinant, which is
-    nonzero exactly when the kept columns are independent, A being SPD)
-    and the reduced system is solved instead.  beta = A p stays cached
+    The generator runs on the updated residual.  The projected system
+    is solved on the leading directions, the last one being dropped
+    while the system is singular (A being SPD, it is singular exactly
+    when the kept directions are dependent).  beta = A p stays cached
     because the column images A phi_j are already available.
     """
     if state.converged:
         raise ValueError("cannot step a converged state")
     if gen is None:
         gen = CoordinateGenerator(cfg.generator)
-    x1, r1, refreshed = _advance_x_r(state, A, b, cfg)
+    x1, r1, refreshed = _advance_x_r(state, A, b, cfg, cfg.omega, state.beta)
     rr = dot(r1, r1)
     if rr == 0:
-        return _converged_state(state, x1, r1, rr, refreshed)
+        return _converged_state(state, x1, r1, refreshed)
     phi = gen.vectors(r1, state.p, A)[:M_MAX]
     images = [matvec(A, f) for f in phi]
-    kept, kept_images, gram = [], [], []
-    for f, Af in zip(phi, images):
-        row = [dot(g, Af) for g in kept] + [dot(f, Af)]
-        trial = [gram[i] + [row[i]] for i in range(len(gram))] + [row]
-        if _det(trial) != 0:
-            kept.append(f)
-            kept_images.append(Af)
-            gram = trial
-    if not kept:
+    # Entry (i, j) is phi_min(i,j) . A phi_max(i,j), so the Gram matrix is
+    # symmetric bit for bit in f64 too.
+    m = len(phi)
+    gram = [[None] * m for _ in range(m)]
+    for j in range(m):
+        for i in range(j + 1):
+            gram[i][j] = gram[j][i] = dot(phi[i], images[j])
+    rbar = [dot(f, r1) for f in phi]
+    update = _ritz_update(phi, images, gram, rbar, x1.field)
+    if update is None:
         raise GeneratorError("all generated vectors were dependent or zero")
-    rbar = [dot(f, r1) for f in kept]
-    a = small_solve(RitzSystem(gram, rbar, x1.field))
-    p1 = vscale(a[0], kept[0])
-    beta1 = vscale(a[0], kept_images[0])
-    for coeff, f, Af in zip(a.data[1:], kept[1:], kept_images[1:]):
-        p1 = add_scaled(p1, coeff, f)
-        beta1 = add_scaled(beta1, coeff, Af)
-    new = SolverState(
-        state.i + 1, x1, r1, p1, beta1, state.rr0, refreshed=refreshed
-    )
+    new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed)
     _check_budget(new, cfg)
     return new
 

@@ -220,19 +220,32 @@ class TestSolve:
         assert "# termination max_steps" in out
         assert "step limit" in err
 
-    @pytest.mark.parametrize("method", ["irm-cg", "irm"])
-    def test_numerical_failure_exit(self, tmp_path, capsys, method):
+    def relaxed_f64_solve(self, tmp_path, capsys, method):
         spectrum = ",".join("%dx5" % k for k in range(1, 13))
         a_path, b_path, _ = gen_system(
             tmp_path, capsys, "--spectrum", spectrum, "--rotate", "180", "--seed", "2551"
         )
+        trace = tmp_path / "t.csv"
         code, _, err = run(
             ["solve", a_path, b_path, "--arith", "f64", "--method", method,
-             "--omega", "19/10", "--eps", "1e-10", "-o", str(tmp_path / "t.csv")],
+             "--omega", "19/10", "--eps", "1e-10", "-o", str(trace)],
             capsys,
         )
+        return code, err, trace
+
+    @pytest.mark.parametrize("method", ["irm-cg"])
+    def test_numerical_failure_exit(self, tmp_path, capsys, method):
+        code, err, _ = self.relaxed_f64_solve(tmp_path, capsys, method)
         assert code == EXIT_NUMERICAL
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_relaxed_f64_irm_drops_dependent_direction(self, tmp_path, capsys):
+        # Here a projected system of two directions has an elimination
+        # pivot of exactly 0.0; the step keeps the first direction and
+        # the run converges.
+        code, err, trace = self.relaxed_f64_solve(tmp_path, capsys, "irm")
+        assert code == EXIT_OK and err == ""
+        assert "# termination converged" in trace.read_text()
 
     def test_snap_zero_restores_one_step_convergence(self, tmp_path, capsys):
         a = tmp_path / "A.txt"

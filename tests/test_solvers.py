@@ -277,6 +277,32 @@ class TestGenericIrm:
             gen.vectors(Vector.zeros(2, EXACT), Vector.zeros(2, EXACT), None)
 
 
+class TestRitzUpdate:
+    def test_dependent_last_direction_is_dropped(self):
+        # p = 2r: the 2x2 system is singular, so only r's coefficient
+        # is solved for, a = (r.r)/(r.A r).
+        A = SymmetricMatrix.diagonal([1, 3])
+        r, p = Vector.exact([1, 1]), Vector.exact([2, 2])
+        Ar, Ap = matvec(A, r), matvec(A, p)
+        gram = [[dot(r, Ar), dot(r, Ap)], [dot(r, Ap), dot(p, Ap)]]
+        got = solvers_module._ritz_update([r, p], [Ar, Ap], gram, [F(2), F(1)], EXACT)
+        a = F(2) / dot(r, Ar)
+        assert got == (vscale(a, r), vscale(a, Ar))
+
+    def test_dependent_first_direction(self):
+        # r.A r underflows to 0.0 while r.r does not, and p = 0.
+        A = demote_matrix(SymmetricMatrix.diagonal([F(1, 10**300)]))
+        b = demote_vector(Vector.exact([1]))
+        zero = Vector.zeros(1, F64)
+        state = SolverState(1, zero, demote_vector(Vector.exact([F(1, 10**20)])), zero, zero, 1.0)
+        r, Ar = state.r, matvec(A, state.r)
+        assert solvers_module._ritz_update([r], [Ar], [[dot(r, Ar)]], [dot(r, r)], F64) is None
+        with pytest.raises(GeneratorError):
+            irm_step(state, A, b, SolverConfig(method=IRM).resolved(F64, 1))
+        with pytest.raises(NumericalBreakdown):
+            irmcg_step(state, A, b, SolverConfig().resolved(F64, 1))
+
+
 class TestSolve:
     def test_exact_three_distinct_eigenvalues(self):
         A = SymmetricMatrix.diagonal([1, 2, 3])
