@@ -29,8 +29,9 @@ EXACT = "exact"
 F64 = "f64"
 
 # The scalar type of each backend.  It coerces scalar arguments, and as a
-# NumPy dtype (Fraction maps to object) it fixes the storage of vectors.
-# Coercion matters: a Fraction times a float64 array is an object array.
+# NumPy dtype (Fraction maps to object) it fixes the storage of f64
+# vectors and of the Fraction view of exact ones.  Coercion matters: a
+# Fraction times a float64 array is an object array.
 SCALAR = {EXACT: Fraction, F64: float}
 
 ZERO = Fraction(0)

@@ -18,8 +18,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import benchgen
 from .analysis import (
     BUDGET_EXCEEDED,
@@ -259,12 +257,7 @@ def _run_solve(opts, out):
         bit_budget=BitBudget(opts["max_bits"]),
         record_energy=not opts["no_energy"],
     )
-    # An f64 overflow is reported once, as exit 6, by the lane's own
-    # finiteness checks; NumPy's warnings about it would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, trace = solve(
-            A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts["seed"]
-        )
+    _, trace = solve(A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts["seed"])
     destination = opts["out"]
     if destination is None:
         emit_csv(trace, out)

@@ -1,30 +1,32 @@
 """Vectors, symmetric matrices, the small projected solve, and energy.
 
-Everything here is generic over the two scalar backends from
-:mod:`irmcg.arithmetic`.  A vector is a read-only 1-D NumPy array in
-both: float64 for f64, dtype object holding Fractions for exact.  The
-vector operations are therefore written once; the backend only picks
-the scalar type that arguments and inner products are coerced to.
+Everything here serves the two scalar backends from
+:mod:`irmcg.arithmetic`, and both store values the same way in vectors
+and matrices.  f64 holds read-only float64 arrays.  Exact holds Python
+int numerators over one common positive denominator ``den`` per
+object (E. H. Bareiss's fraction-free idea), so no Fraction, and no
+gcd per entry, is formed inside a vector operation or a matvec: an
+exact inner product is one int dot and one Fraction; a sum or a scaled
+sum combines numerators over the lcm of the denominators and reduces
+the result once, as a whole.  Fractions are formed only where values
+leave the storage (``Vector.data``, ``entry``, ``diag``, ``full``,
+snapping, files, the SPD gate); demotion divides each numerator by
+``den`` directly.
 
-A symmetric matrix is stored alike in both backends, as compressed
-sparse rows of its full pattern.  Its f64 ``data`` is float64; its
-exact ``data`` holds Python int numerators over one common
-denominator ``den`` (E. H. Bareiss's fraction-free idea), so no
-Fraction, and no gcd, is formed inside a matvec.  One matvec,
-``np.add.reduceat(data * v[indices], indptr[:-1])``, serves both: the
-exact lane first scales v to integers over the lcm of its denominators
-and divides each row's integer sum once at the end; f64 sums each
-row's products in ``add.reduceat`` order, not BLAS order, except for a
+A symmetric matrix is stored as compressed sparse rows of its full
+pattern.  One matvec, ``np.add.reduceat(data * v[indices],
+indptr[:-1])``, serves both backends: exact rows are summed in ints
+and the sums over A.den * v.den reduced once; f64 sums each row's
+products in ``add.reduceat`` order, not BLAS order, except for a
 matrix with all n^2 entries stored, whose data is its row-major square
-and goes to BLAS.  Fractions are formed only where values leave the
-storage (``entry``, ``diag``, ``full``, snapping, files, the SPD gate);
-demotion divides each numerator by ``den`` directly.  Dense algorithms (the certificate and the f64 check of the SPD
-gate, the eigenvalue estimate) work on the square that
-``SymmetricMatrix.full`` returns.
+and goes to BLAS.  Dense algorithms (the certificate and the f64
+check of the SPD gate, the eigenvalue estimate) work on the square
+that ``SymmetricMatrix.full`` returns.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +35,6 @@ from .arithmetic import (
     EXACT,
     F64,
     SCALAR,
-    ZERO,
     BitBudget,
     any_size,
     demote,
@@ -75,16 +76,31 @@ def _array(entries, field, what):
 
 
 class Vector:
-    """Fixed-length vector over one scalar backend."""
+    """Fixed-length vector over one scalar backend.
 
-    __slots__ = ("data", "field")
+    f64: ``data`` is a read-only float64 array and ``num``, ``den`` are
+    None.  Exact: ``num`` is a read-only object array of Python ints
+    over one positive int ``den``, in lowest terms as a whole
+    (``gcd(den, *num) == 1``, so the zero vector has ``den == 1``), and
+    entry i is ``Fraction(num[i], den)``.  Equal vectors have equal
+    ``num`` and ``den``.  The exact ``data``, a read-only object array
+    of those Fractions, is built on first read and kept; a vector built
+    from Fractions keeps the array it was built from.
+    """
+
+    __slots__ = ("_data", "num", "den", "field")
 
     def __init__(self, entries, field):
         arr = _array(entries, field, "vector")
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise DimensionError("vector must have length >= 1")
-        self.data = arr
+        self._data = arr
         self.field = field
+        self.num = self.den = None
+        if field == EXACT:
+            # The lcm of the entries' denominators is already least.
+            self.num, self.den = _numerators(arr)
+            self.num.flags.writeable = False
 
     @classmethod
     def exact(cls, entries):
@@ -98,8 +114,34 @@ class Vector:
     def zeros(cls, n, field):
         return cls(np.full(n, SCALAR[field](0)), field)
 
+    @classmethod
+    def _ints(cls, num, den, reduce=True):
+        """Exact vector num / den: num a fresh object array of ints, den > 0.
+
+        Reduced once as a whole unless the caller knows it is in lowest terms.
+        """
+        g = math.gcd(den, *num.tolist()) if reduce else 1
+        if g != 1:
+            num //= g
+            den //= g
+        num.flags.writeable = False
+        v = cls.__new__(cls)
+        v._data, v.num, v.den, v.field = None, num, den, EXACT
+        return v
+
+    @property
+    def data(self):
+        # The operations here read f64 vectors' _data directly, without
+        # this call.
+        if self._data is None:
+            arr = np.empty(len(self.num), dtype=object)
+            arr[:] = [Fraction(e, self.den) for e in self.num.tolist()]
+            arr.flags.writeable = False
+            self._data = arr
+        return self._data
+
     def __len__(self):
-        return len(self.data)
+        return len(self.num if self.field == EXACT else self._data)
 
     def __getitem__(self, i):
         return self.data[i]
@@ -110,7 +152,9 @@ class Vector:
     def __eq__(self, other):
         if not isinstance(other, Vector) or other.field != self.field:
             return NotImplemented
-        return bool(np.array_equal(self.data, other.data))
+        if self.field == F64:
+            return bool(np.array_equal(self._data, other._data))
+        return self.den == other.den and bool(np.array_equal(self.num, other.num))
 
     __hash__ = None
 
@@ -118,7 +162,7 @@ class Vector:
         return "Vector(%s, %s)" % (list(self.data), self.field)
 
     def is_zero(self):
-        return not self.data.any()
+        return not (self.num if self.field == EXACT else self._data).any()
 
 
 def _numerators(values):
@@ -270,36 +314,59 @@ def _lane(a, v):
 
 
 def dot(u, v):
-    """Inner product u . v in the common backend."""
-    field = _lane(u, v)
-    return SCALAR[field](np.dot(u.data, v.data))
+    """Inner product u . v in the common backend (exact: one gcd, in the Fraction)."""
+    if _lane(u, v) == F64:
+        return float(np.dot(u._data, v._data))
+    return Fraction(np.dot(u.num, v.num), u.den * v.den)
 
 
 def vadd(u, v):
-    return Vector(u.data + v.data, _lane(u, v))
+    return add_scaled(u, 1, v)
 
 
 def vsub(u, v):
-    return Vector(u.data - v.data, _lane(u, v))
+    return add_scaled(u, -1, v)
 
 
 def vscale(c, v):
-    return Vector(SCALAR[v.field](c) * v.data, v.field)
+    if v.field == F64:
+        return Vector(float(c) * v._data, F64)
+    # With c = p/q, gcd(q den, p num) = gcd(p, den) gcd(q, *num), since p/q
+    # and num/den are each in lowest terms.
+    c = Fraction(c)
+    p, q = c.numerator, c.denominator
+    g1, g2 = math.gcd(p, v.den), math.gcd(q, *v.num.tolist())
+    num = v.num if g2 == 1 else v.num // g2
+    return Vector._ints(num * (p // g1), v.den // g1 * (q // g2), reduce=False)
 
 
 def add_scaled(u, c, v):
-    """u + c * v in the common backend."""
-    field = _lane(u, v)
-    return Vector(u.data + SCALAR[field](c) * v.data, field)
+    """u + c * v in the common backend.
+
+    Exact, with c = p/q: the numerators are combined over
+    lcm(u.den, q v.den) and the sum is reduced once.
+    """
+    if _lane(u, v) == F64:
+        return Vector(u._data + float(c) * v._data, F64)
+    c = Fraction(c)
+    vden = c.denominator * v.den
+    den = math.lcm(u.den, vden)
+    return Vector._ints(u.num * (den // u.den) + v.num * (c.numerator * (den // vden)), den)
 
 
 def add_to_entry(v, index, delta):
     """Copy of v with delta added to one 0-based component."""
     if not (0 <= index < len(v)):
         raise DimensionError("component index out of range")
-    arr = v.data.copy()
-    arr[index] += SCALAR[v.field](delta)
-    return Vector(arr, v.field)
+    if v.field == F64:
+        arr = v._data.copy()
+        arr[index] += float(delta)
+        return Vector(arr, F64)
+    delta = Fraction(delta)
+    den = math.lcm(v.den, delta.denominator)
+    num = v.num * (den // v.den)
+    num[index] += delta.numerator * (den // delta.denominator)
+    return Vector._ints(num, den)
 
 
 # Most products one reduceat forms at a time in the exact lane, where
@@ -310,19 +377,15 @@ _BLOCK = 1024
 def matvec(A, v):
     """Product A v: each row's products, summed (both backends).
 
-    Exact: v is scaled to int numerators over L, the lcm of its
-    denominators, the rows are summed in ints, and each row's sum over
-    den * L is reduced once.  An f64 matrix with all n^2 entries stored
-    is, in CSR, its row-major square, so BLAS multiplies its data as it
-    lies.
+    Exact: the rows of A's numerators are summed against v's in ints,
+    and the sums over A.den * v.den are reduced once, as a vector.  An
+    f64 matrix with all n^2 entries stored is, in CSR, its row-major
+    square, so BLAS multiplies its data as it lies.
     """
     field = _lane(A, v)
     if field == F64 and A.data.size == A.n * A.n:
-        return Vector(A.data.reshape(A.n, A.n) @ v.data, F64)
-    x = v.data
-    if field == EXACT:
-        x, scale = _numerators(x)
-        scale *= A.den
+        return Vector(A.data.reshape(A.n, A.n) @ v._data, F64)
+    x = v._data if field == F64 else v.num
     step = _BLOCK if field == EXACT else A.data.size
     # A block ends before the first row that starts at a multiple of step or later.
     cuts = sorted({0, A.n, *np.searchsorted(A.indptr, range(step, A.data.size, step)).tolist()})
@@ -333,7 +396,7 @@ def matvec(A, v):
         sums.append(np.add.reduceat(products, A.indptr[r0:r1] - lo))
     sums = np.concatenate(sums)
     if field == EXACT:
-        sums = [Fraction(s, scale) for s in sums.tolist()]
+        return Vector._ints(sums, A.den * v.den)
     return Vector(sums, field)
 
 
@@ -421,7 +484,7 @@ def spd_check(A, budget=BitBudget()):
     computed exactly over the stored entries, Weyl's and Gershgorin's
     theorems give lambda_min(A) >= min_i (R_ii - sum_{j != i} |R_ij|) - B,
     and A is proven positive definite when that is > 0, which is checked
-    in exact rationals.
+    exactly, in ints over one denominator (_certificate_holds).
 
     Why the bound covers NumPy's LAPACK: Thm 10.3 rests on Lemma 8.4,
     which holds for any order of evaluating each inner product; a
@@ -485,24 +548,36 @@ def _spd_certificate(A):
     At = Af - c * np.eye(n)
     if not _cholesky_succeeds(At):
         return False
-    # R = A - At over the stored lower triangle; off the diagonal only
-    # the demotion error of the stored entries.
-    radius = [ZERO] * n
-    r_diag = [ZERO] * n
+    return _certificate_holds(A, At)
+
+
+def _certificate_holds(A, At):
+    """True if lambda_min(A) > 0 follows from a successful Cholesky of At.
+
+    The Gershgorin margin min_i (R_ii - sum_{j != i} |R_ij|) of R = A - At
+    must exceed the bound on At's Cholesky error (see spd_check).  R is
+    formed over A's stored lower triangle (At must vanish off it), in
+    ints over D = A.den 2^k, 2^k being the largest denominator of the
+    doubles At holds there; only the margin becomes a Fraction.
+    """
     rows = A._rows()
     low = rows >= A.indices
     rows, cols = rows[low].tolist(), A.indices[low].tolist()
-    for i, j, a, t in zip(rows, cols, A._values(low), At[rows, cols].tolist()):
-        r = a - Fraction(t)
+    ratios = [t.as_integer_ratio() for t in At[rows, cols].tolist()]
+    k = max(d for _, d in ratios).bit_length() - 1
+    radius = [0] * A.n
+    r_diag = [0] * A.n
+    for i, j, a, (t, d) in zip(rows, cols, A.data[low].tolist(), ratios):
+        r = (a << k) - A.den * (t << (k - d.bit_length() + 1))
         if i == j:
             r_diag[i] = r
         else:
             r = abs(r)
             radius[i] += r
             radius[j] += r
+    margin = Fraction(min(map(operator.sub, r_diag, radius)), A.den << k)
     t_diag = [Fraction(x) for x in At.diagonal().tolist()]
-    bound = _cholesky_error_bound(n, sum(t_diag), max(t_diag))
-    return min(d - r for d, r in zip(r_diag, radius)) > bound
+    return margin > _cholesky_error_bound(A.n, sum(t_diag), max(t_diag))
 
 
 def _cholesky_succeeds(square):
@@ -585,7 +660,18 @@ def condition_estimate(A):
 def demote_vector(v):
     if v.field == F64:
         return v
-    return Vector([demote(e) for e in v.data], F64)
+    return Vector([_rounded(e, v.den) for e in v.num.tolist()], F64)
+
+
+def _rounded(num, den):
+    """num / den to the nearest double, as demote does.
+
+    Int true division rounds correctly, so no gcd is needed.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        return demote(Fraction(num, den))  # raises ScalarOverflow
 
 
 def _map_lower(A, fn, field, spd=None):
@@ -605,15 +691,7 @@ def demote_matrix(A):
     """A in f64; the conversion keeps a known SPD verdict."""
     if A.field == F64:
         return A
-
-    def rounded(num):
-        # Int true division rounds correctly, as demote does, without the gcd.
-        try:
-            return num / A.den
-        except OverflowError:
-            return demote(Fraction(num, A.den))  # raises ScalarOverflow
-
-    return _map_lower(A, rounded, F64, A._spd)
+    return _map_lower(A, lambda num: _rounded(num, A.den), F64, A._spd)
 
 
 def rationalize_vector(v):

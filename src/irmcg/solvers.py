@@ -30,6 +30,7 @@ updates it recursively otherwise.
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -192,14 +193,22 @@ class CoordinateGenerator:
 
 
 def _check_budget(state, cfg):
+    """BudgetExceeded for the first entry of x, r, p, beta past the budget.
+
+    Entry num/den in lowest terms has no more bits than num and den, so
+    a vector whose den and widest numerator fit is within the budget;
+    only one that does not is checked entry by entry.
+    """
     if state.x.field != EXACT:
         return
     budget = cfg.bit_budget
     for vec in (state.x, state.r, state.p, state.beta):
         if vec is None:
             continue
-        for entry in vec.data:
-            budget.check(entry)
+        nums = vec.num.tolist()
+        if max(vec.den.bit_length(), *map(int.bit_length, nums)) > budget.max_bits:
+            for num in nums:
+                budget.check(Fraction(num, vec.den))
 
 
 def init(A, b, x0, budget=BitBudget()):
@@ -384,6 +393,9 @@ def _apply_perturbations(state, A, perturbations, index):
     return hit
 
 
+# An f64 overflow is reported once, by the lane's own finiteness checks
+# (InvalidScalar); NumPy's warnings about it would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
     """Run the configured method until convergence or a stop condition.
 

@@ -56,6 +56,16 @@ def vdot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
+def gershgorin_margin(rows, at):
+    """min_i (R_ii - sum_{j != i} |R_ij|) of R = rows - at, in Fractions.
+
+    ``at`` is a square of doubles; each is taken at its exact value.
+    """
+    n = len(rows)
+    R = [[Fraction(rows[i][j]) - Fraction(at[i][j]) for j in range(n)] for i in range(n)]
+    return min(R[i][i] - sum(abs(R[i][j]) for j in range(n) if j != i) for i in range(n))
+
+
 def direct_energy(rows, b, x):
     return Fraction(1, 2) * vdot(x, full_matvec(rows, x)) - vdot(x, b)
 

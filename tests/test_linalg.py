@@ -52,7 +52,7 @@ from irmcg.linalg import (
     write_matrix,
     write_vector,
 )
-from irmcg.linalg import _spd_certificate, _spd_ldlt
+from irmcg.linalg import _certificate_holds, _cholesky_error_bound, _spd_certificate, _spd_ldlt
 
 small_ints = st.integers(min_value=-9, max_value=9)
 small_fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
@@ -160,6 +160,66 @@ def test_lanes_agree_bit_for_bit(op):
     else:
         assert type(exact) is F and type(f64) is float
         assert demote(exact).hex() == f64.hex()
+
+
+# Small, zero, or over 4096 bits, over unrelated denominators.
+rationals = st.one_of(
+    small_fractions,
+    st.just(F(0)),
+    st.builds(F, st.integers(-2**4200, 2**4200),
+              st.sampled_from([1, 3, 7**5, 2**61 - 1, (2**127 - 1) ** 2, 3**2700])),
+)
+
+
+@st.composite
+def exact_lists(draw, n):
+    """n rationals, or (one in four) the zero vector."""
+    if draw(st.integers(0, 3)) == 0:
+        return [F(0)] * n
+    return draw(st.lists(rationals, min_size=n, max_size=n))
+
+
+def assert_exact_result(v, want):
+    """v holds want, as int numerators over one least denominator."""
+    nums = v.num.tolist()
+    assert all(type(e) is int for e in nums) and type(v.den) is int and v.den >= 1
+    assert math.gcd(v.den, *nums) == 1
+    assert not v.num.flags.writeable and not v.data.flags.writeable
+    assert list(v.data) == want and all(type(q) is F for q in v.data)
+    assert v == Vector.exact(want)
+
+
+class TestIntegerVectorLane:
+    """Exact vector operations on int numerators against Fraction oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(exact_lists(n), exact_lists(n))),
+           rationals)
+    def test_vector_ops_match_fraction_oracle(self, pair, c):
+        U, V = pair
+        u, v = Vector.exact(U), Vector.exact(V)
+        got = dot(u, v)
+        assert type(got) is F and got == oracles.vdot(U, V)
+        assert_exact_result(vadd(u, v), [a + b for a, b in zip(U, V)])
+        assert_exact_result(vsub(u, v), [a - b for a, b in zip(U, V)])
+        for k in (c, -c, F(0)):
+            assert_exact_result(vscale(k, v), [k * b for b in V])
+            assert_exact_result(add_scaled(u, k, v), [a + k * b for a, b in zip(U, V)])
+            i = len(U) - 1
+            assert_exact_result(add_to_entry(u, i, k), U[:i] + [U[i] + k])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 8).flatmap(exact_lists))
+    def test_matvec_matches_fraction_oracle(self, seed, V):
+        rng = random.Random(seed)
+        A = random_sparse(rng, len(V)) if len(V) > 1 else SymmetricMatrix.diagonal([F(2, 3)])
+        assert_exact_result(matvec(A, Vector.exact(V)), oracles.full_matvec(oracles.unpack(A), V))
+
+    def test_data_is_built_once(self):
+        # Over the lcm 6 the sum is [3, 12] / 6, reduced once to [1, 4] / 2.
+        v = vadd(Vector.exact([F(1, 3), 2]), Vector.exact([F(1, 6), 0]))
+        assert (v.num.tolist(), v.den) == ([1, 4], 2)
+        assert v.data is v.data and list(v.data) == [F(1, 2), 2]
 
 
 class TestMatvec:
@@ -553,6 +613,50 @@ class TestSpdCertificate:
             spd_check(A, BitBudget(300))
         assert A._spd is None
         assert spd_check(A, BitBudget()) is True
+
+
+class TestCertificateCheck:
+    """The certificate's exact check, in ints, against the Fraction margin."""
+
+    @staticmethod
+    def oracle(A, At):
+        t = [F(x) for x in np.diagonal(At).tolist()]
+        bound = _cholesky_error_bound(A.n, sum(t), max(t))
+        return oracles.gershgorin_margin(oracles.unpack(A), At.tolist()) - bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_symmetric(), st.sampled_from([0.0, 2.0**-40, 0.5, 3.0]))
+    def test_matches_fraction_check(self, A, c):
+        At = demote_matrix(A).full() - c * np.eye(A.n)
+        assert _certificate_holds(A, At) is (self.oracle(A, At) > 0)
+
+    @pytest.mark.parametrize("exponent", [20, 40, 60])
+    @pytest.mark.parametrize("c", [2.0**-70, 2.0**-45, 2.0**-22])
+    def test_rotated_near_singular(self, exponent, c):
+        A = rotated_near_singular(F(1, 2**exponent))
+        At = demote_matrix(A).full() - c * np.eye(A.n)
+        assert _certificate_holds(A, At) is (self.oracle(A, At) > 0)
+
+    @pytest.mark.parametrize("delta, holds", [
+        (F(1, 2**400), True), (F(0), False), (-F(1, 2**400), False),
+    ])
+    def test_margin_at_the_bound(self, delta, holds):
+        # A = At + R with R's margin exactly the bound + delta, in row 2.
+        rng = random.Random(5)
+        n = 6
+        At = demote_matrix(random_spd(rng, n)).full() - 0.25 * np.eye(n)
+        t = [F(x) for x in np.diagonal(At).tolist()]
+        bound = _cholesky_error_bound(n, sum(t), max(t))
+        R = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                R[i][j] = R[j][i] = F(rng.randint(-9, 9), 3**40)
+        for i in range(n):
+            R[i][i] = sum(abs(e) for e in R[i]) + bound + (delta if i == 2 else 1)
+        A = SymmetricMatrix.from_rows(
+            [[F(At[i, j]) + R[i][j] for j in range(n)] for i in range(n)])
+        assert self.oracle(A, At) == delta
+        assert _certificate_holds(A, At) is holds
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,19 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import irmcg.solvers as solvers_module
 from irmcg.arithmetic import BitBudget, EXACT, F64
-from irmcg.benchgen import SpectrumSpec, gen_diagonal, gen_spring_chain
+from irmcg.benchgen import (
+    RHS_RANDOM,
+    SpectrumSpec,
+    gen_diagonal,
+    gen_rotated,
+    gen_spring_chain,
+    random_plan,
+)
 from irmcg.errors import (
     BudgetExceeded,
     DimensionError,
     GeneratorError,
+    InvalidScalar,
     NotSPD,
     NumericalBreakdown,
 )
@@ -385,6 +394,75 @@ class TestSolve:
         assert trace.steps >= 8
         for rec in trace.records:
             assert rec.refreshed == (rec.i == 0 or (rec.i - 1) % 3 == 0)
+
+
+def _primes_above(start, count):
+    found = []
+    p = start
+    while len(found) < count:
+        p += 1
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            found.append(p)
+    return found
+
+
+def _per_entry_budget_scan(state, cfg):
+    # Every entry of x, r, p, beta through BitBudget.check, in order.
+    if state.x.field != EXACT:
+        return
+    for vec in (state.x, state.r, state.p, state.beta):
+        for entry in [] if vec is None else vec.data:
+            cfg.bit_budget.check(entry)
+
+
+class TestBitBudget:
+    """The per-vector bit test, and its per-entry fallback."""
+
+    @staticmethod
+    def state_of(entries):
+        v = Vector.exact(entries)
+        return SolverState(1, v, v, v, v, F(1))
+
+    def test_lcm_denominator_past_the_budget_is_not_an_entry_past_it(self):
+        # 1/p for four primes p of 31 bits: a 124-bit lcm, 31-bit entries.
+        entries = [F(1, p) for p in _primes_above(2**30, 4)]
+        state = self.state_of(entries)
+        assert state.x.den.bit_length() > 64
+        solvers_module._check_budget(state, resolved(4, bit_budget=BitBudget(64)))
+
+    def test_one_entry_one_bit_past_the_budget(self):
+        state = self.state_of([F(1, 3), F(2**64, 5), F(7)])
+        with pytest.raises(BudgetExceeded) as exc:
+            solvers_module._check_budget(state, resolved(3, bit_budget=BitBudget(64)))
+        assert str(exc.value) == "scalar grew to 65 bits (budget 64)"
+        solvers_module._check_budget(state, resolved(3, bit_budget=BitBudget(65)))
+
+    @pytest.mark.parametrize("method, omega, bits", [
+        (CG, 1, 64), (IRM_CG, F(3, 2), 1024), (IRM_CG, F(19, 10), 1024), (IRM, F(1, 2), 2048),
+    ])
+    def test_runs_stop_where_the_per_entry_scan_stops(self, method, omega, bits, monkeypatch):
+        spec = SpectrumSpec(tuple((k, 2, True) for k in range(1, 7)), rhs_rule=RHS_RANDOM,
+                            rhs_seed=3)
+        A, b, _ = gen_rotated(spec, random_plan(spec.n, 30, 3))
+        cfg = exact_cfg(method=method, omega=omega, bit_budget=BitBudget(bits))
+        _, trace = solve(A, b, cfg=cfg)
+        assert trace.termination == BUDGET_EXCEEDED and trace.steps >= 1
+        monkeypatch.setattr(solvers_module, "_check_budget", _per_entry_budget_scan)
+        assert solve(A, b, cfg=cfg)[1] == trace
+
+
+def test_f64_overflow_raises_without_numpy_warnings():
+    # sweep's irm-cg at omega = 19/10 overflows on the rotated n=60
+    # systems; the lane's own check reports it, and NumPy stays quiet.
+    spec = SpectrumSpec(tuple((k, 5, True) for k in range(1, 13)), rhs_rule=RHS_RANDOM,
+                        rhs_seed=2551)
+    A, b, _ = gen_rotated(spec, random_plan(spec.n, 180, 2551))
+    cfg = SolverConfig(method=IRM_CG, omega=F(19, 10), epsilon=F(1, 10**10))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidScalar):
+            solve(demote_matrix(A), demote_vector(b), cfg=cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestMatvecBudget:
