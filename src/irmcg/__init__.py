@@ -38,14 +38,12 @@ from .linalg import (
     spd_check,
 )
 from .solvers import (
-    CoordinateGenerator,
     Perturbation,
     SolverConfig,
     SolverState,
     cg_step,
     init,
     irm_step,
-    irmcg_step,
     solve,
 )
 

@@ -25,10 +25,9 @@ from .errors import (
     DimensionError,
     FormatError,
     IncomparableTraces,
-    IoError,
     ZeroInitialResidual,
 )
-from .linalg import DIAGONAL
+from .linalg import DIAGONAL, read_text, write_text
 
 E_TAG = "E"
 DP_TAG = "DP"
@@ -222,7 +221,10 @@ def compare(tE, tDP, gap=1.0):
     knobs a cross-arithmetic comparison varies).  Divergence is the
     first step where the relative norms differ by more than `gap`
     decades; a zero norm against a nonzero one counts as divergent.
+    A negative or non-finite gap is a ValueError.
     """
+    if not (math.isfinite(gap) and gap >= 0):
+        raise ValueError("gap must be a finite number of decades >= 0, got %r" % gap)
     if tE.method != tDP.method:
         raise IncomparableTraces("method %r vs %r" % (tE.method, tDP.method))
     for name in ("omega", "epsilon"):
@@ -310,24 +312,13 @@ def emit_csv(t, destination):
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
-        return
-    try:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    else:
+        write_text(destination, text)
 
 
 def parse_csv(source):
     """Inverse of emit_csv; returns the trace it describes."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        try:
-            with open(source, "r") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise IoError(str(exc)) from None
+    text = source.read() if hasattr(source, "read") else read_text(source)
     meta = {}
     rows = []
     saw_header = False

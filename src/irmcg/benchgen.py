@@ -30,9 +30,8 @@ from .errors import (
     FormatError,
     InvalidRotation,
     InvalidStiffness,
-    IoError,
 )
-from .linalg import SymmetricMatrix, Vector, matvec
+from .linalg import SymmetricMatrix, Vector, matvec, read_text, write_text
 
 RHS_ONES = "ones"
 RHS_EXPLICIT = "explicit"
@@ -174,6 +173,8 @@ class RotationPlan:
 
 def random_plan(n, count, seed):
     """Seeded plan of `count` rotations over distinct index pairs."""
+    if count < 0:
+        raise ValueError("rotation count must be nonnegative, got %d" % count)
     if n < 2:
         return RotationPlan(())
     rng = random.Random(seed)
@@ -302,12 +303,8 @@ def parse_spectrum_inline(text, rhs_rule=RHS_ONES, rhs_values=None, rhs_seed=Non
 
 
 def read_spectrum_file(path):
-    try:
-        with open(path, "r") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-    return parse_spectrum_lines(lines)
+    lines = read_text(path).split("\n")
+    return parse_spectrum_lines([ln.strip() for ln in lines if ln.strip()])
 
 
 def parse_spectrum_lines(lines):
@@ -363,8 +360,4 @@ def write_spectrum_file(spec, path):
         lines.append("rhs explicit " + " ".join(str(v) for v in spec.rhs_values))
     else:
         lines.append("rhs ones")
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    write_text(path, "\n".join(lines) + "\n")

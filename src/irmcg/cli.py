@@ -195,10 +195,12 @@ def _run_gen(opts, out):
         raise FormatError(
             "--rhs does not apply to --spectrum-file: the file's rhs line sets the right-hand side"
         )
+    if opts["stiff"] is not None and opts["chain"] is None:
+        raise FormatError("--stiff applies only to --chain")
+    if opts["chain"] is not None and opts["rotate"]:
+        raise FormatError("--rotate does not apply to --chain: a spring chain is not rotated")
     seed = opts["seed"]
     rule, values, rhs_seed = _parse_rhs_option("ones" if rhs is None else rhs, seed)
-    outdir = opts["out"]
-    os.makedirs(outdir, exist_ok=True)
     m = None
     if opts["chain"] is not None:
         if not opts["stiff"]:
@@ -220,6 +222,8 @@ def _run_gen(opts, out):
             A, b, m = benchgen.gen_rotated(spec, plan)
         else:
             A, b, m = benchgen.gen_diagonal(spec)
+    outdir = opts["out"]
+    os.makedirs(outdir, exist_ok=True)
     write_matrix(A, os.path.join(outdir, "A.txt"))
     write_vector(b, os.path.join(outdir, "b.txt"))
     if m is not None:

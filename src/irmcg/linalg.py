@@ -742,7 +742,7 @@ def write_matrix(A, path):
                     break
                 row[indices[k]] = str(Fraction(data[k], A.den))
             lines.append(" ".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 @any_size
@@ -751,11 +751,11 @@ def write_vector(v, path):
         raise ExactRequired("vector files store exact rationals")
     lines = ["vector %d" % len(v)]
     lines.extend(str(e) for e in v.data)
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix(path):
-    tokens = _read_tokens(path)
+    tokens = read_text(path).split()
     if len(tokens) < 2 or tokens[0] not in ("symmetric", "diagonal"):
         raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
     symmetric, n = tokens[0] == "symmetric", _parse_count(tokens[1])
@@ -775,7 +775,7 @@ def read_matrix(path):
 
 
 def read_vector(path):
-    tokens = _read_tokens(path)
+    tokens = read_text(path).split()
     if len(tokens) < 2 or tokens[0] != "vector":
         raise FormatError("vector file must start with 'vector n'")
     n = _parse_count(tokens[1])
@@ -800,11 +800,7 @@ def read_matrix_market(path):
     is read as exact integers.  Only the symmetric qualifier is accepted
     since the storage here cannot represent anything else.
     """
-    try:
-        with open(path, "r") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    lines = read_text(path).splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise FormatError("missing MatrixMarket banner")
     banner = lines[0].split()
@@ -865,18 +861,19 @@ def _parse_count(token):
     return value
 
 
-def _read_tokens(path):
+def read_text(path):
+    """The text of a file; IoError when it cannot be read."""
     try:
         with open(path, "r") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise IoError(str(exc)) from None
-    return text.split()
 
 
-def _write_text(path, text):
+def write_text(path, text):
+    """Write text as given, with no newline translation; IoError on failure."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from None

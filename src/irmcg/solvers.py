@@ -1,21 +1,21 @@
 """Iterative energy-minimizing solvers for SPD systems.
 
-Three methods share one harness:
+Three methods run on two step functions:
 
-* ``cg``      -- classical conjugate gradients (line search + conjugation),
-  in the generalized form that tolerates an arbitrarily scaled starting
-  increment.
-* ``irm-cg``  -- per-step energy minimization over span{r, p} with a
-  single matrix-vector product per recursive step: the new residual is
-  obtained by recurrence, alpha = A r is the only fresh product, and
-  beta = A p is carried along as a linear combination.
-* ``irm``     -- the generic subspace method: a coordinate-vector
-  generator emits up to M_MAX directions, the projected system is
-  solved, and the new increment is the subspace minimizer.
-
-Both subspace methods solve their projected (Ritz) system with one
-elimination, which also decides which directions to keep: while the
-system is singular the last direction is dropped.
+* ``cg`` (``cg_step``) -- classical conjugate gradients (line search +
+  conjugation), in the generalized form that tolerates an arbitrarily
+  scaled starting increment.
+* ``irm`` and ``irm-cg`` (``irm_step``) -- one Ritz step: energy
+  minimization over a small subspace, whose projected (Ritz) system is
+  solved with one elimination that also decides which directions to
+  keep (while the system is singular the last direction is dropped).
+  ``irm`` takes up to M_MAX directions from a coordinate-vector
+  generator, each with a fresh image.  ``irm-cg`` is its special case
+  on span{r, p} with a single matrix-vector product per recursive
+  step: the new residual is obtained by recurrence, alpha = A r is the
+  only fresh product, and beta = A p is carried along as a linear
+  combination; under relaxation the p row of its right-hand side is
+  weighted by omega.
 
 All methods run under either scalar backend.  In exact arithmetic the
 recurrences are identities, so ``cg`` and ``irm-cg`` produce the same
@@ -165,33 +165,6 @@ class Perturbation:
             raise ValueError("component_index is 1-based")
 
 
-@dataclass(frozen=True)
-class CoordinateGenerator:
-    """Emits the coordinate vectors spanning one generic IRM step."""
-
-    id: str = GEN_RESIDUAL_INCREMENT
-
-    def __post_init__(self):
-        if self.id not in GENERATORS:
-            raise ValueError("unknown generator %r" % self.id)
-
-    def vectors(self, r, p, A):
-        """Candidate directions given the fresh residual and old increment.
-
-        Zero vectors are dropped; the caller filters out dependent ones.
-        """
-        if self.id == GEN_RESIDUAL:
-            cand = [r]
-        elif self.id == GEN_RESIDUAL_INCREMENT:
-            cand = [r, p]
-        else:
-            cand = [Vector(r.data / np.asarray(A.diag()), r.field), p]
-        out = [v for v in cand if not v.is_zero()]
-        if not out:
-            raise GeneratorError("generator %r emitted no nonzero vectors" % self.id)
-        return out
-
-
 def _check_budget(state, cfg):
     """BudgetExceeded for the first entry of x, r, p, beta past the budget.
 
@@ -277,35 +250,6 @@ def _ritz_update(dirs, images, gram, rhs, field):
     return None
 
 
-def irmcg_step(state, A, b, cfg):
-    """One step of the two-vector method.
-
-    After the x/r update, alpha = A r is the sole matrix-vector product
-    on recursive steps.  The projected 2x2 system is
-        [[r.alpha, r.beta], [r.beta, p.beta]] a = [r.r, omega r.p]
-    (the right side's second term vanishes at omega = 1 where r is
-    orthogonal to p); the new increment and its A-image are the
-    corresponding linear combinations of (r, p) and (alpha, beta).
-    An exactly dependent {r, p} degenerates to steepest descent on r.
-    """
-    if state.converged:
-        raise ValueError("cannot step a converged state")
-    x1, r1, refreshed = _advance_x_r(state, A, b, cfg, cfg.omega, state.beta)
-    rr = dot(r1, r1)
-    if rr == 0:
-        return _converged_state(state, x1, r1, refreshed)
-    alpha = matvec(A, r1)
-    rb = dot(r1, state.beta)
-    gram = [[dot(r1, alpha), rb], [rb, dot(state.p, state.beta)]]
-    rhs = [rr, cfg.omega * dot(r1, state.p)]
-    update = _ritz_update([r1, state.p], [alpha, state.beta], gram, rhs, x1.field)
-    if update is None:
-        raise NumericalBreakdown("r.A r vanished with a nonzero residual")
-    new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed)
-    _check_budget(new, cfg)
-    return new
-
-
 def cg_step(state, A, b, cfg):
     """One classical conjugate-gradient step.
 
@@ -331,25 +275,49 @@ def cg_step(state, A, b, cfg):
     return new
 
 
-def irm_step(state, A, b, cfg, gen=None):
-    """One generic subspace step with up to M_MAX coordinate vectors.
+def _directions(generator, r, p, A):
+    """The nonzero coordinate vectors of one generic IRM step, at most M_MAX.
 
-    The generator runs on the updated residual.  The projected system
-    is solved on the leading directions, the last one being dropped
-    while the system is singular (A being SPD, it is singular exactly
-    when the kept directions are dependent).  beta = A p stays cached
-    because the column images A phi_j are already available.
+    The generator runs on the updated residual r and the old increment
+    p; the Ritz solve filters out dependent ones.
+    """
+    if generator == GEN_RESIDUAL:
+        cand = [r]
+    elif generator == GEN_RESIDUAL_INCREMENT:
+        cand = [r, p]
+    else:
+        cand = [Vector(r.data / np.asarray(A.diag()), r.field), p]
+    out = [v for v in cand if not v.is_zero()]
+    if not out:
+        raise GeneratorError("generator %r emitted no nonzero vectors" % generator)
+    return out[:M_MAX]
+
+
+def irm_step(state, A, b, cfg):
+    """One Ritz step of irm-cg or irm, as cfg.method says.
+
+    After the x/r update the step minimizes the energy over directions
+    phi: [r, p] for irm-cg, with images alpha = A r (fresh) and
+    beta = A p (carried), or the generated directions for irm, each
+    with a fresh image.  The projected system, Gram entries
+    phi_i.A phi_j and right side phi_j.r, is solved on the leading
+    directions, the last one being dropped while it is singular (A
+    being SPD, exactly when the kept directions are dependent).  irm-cg
+    weights the p row of the right side by omega; the term vanishes at
+    omega = 1, where r is orthogonal to p.  The new increment and its
+    A-image are the matching combinations, so beta = A p stays cached.
     """
     if state.converged:
         raise ValueError("cannot step a converged state")
-    if gen is None:
-        gen = CoordinateGenerator(cfg.generator)
     x1, r1, refreshed = _advance_x_r(state, A, b, cfg, cfg.omega, state.beta)
     rr = dot(r1, r1)
     if rr == 0:
         return _converged_state(state, x1, r1, refreshed)
-    phi = gen.vectors(r1, state.p, A)[:M_MAX]
-    images = [matvec(A, f) for f in phi]
+    if cfg.method == IRM_CG:
+        phi, images = [r1, state.p], [matvec(A, r1), state.beta]
+    else:
+        phi = _directions(cfg.generator, r1, state.p, A)
+        images = [matvec(A, f) for f in phi]
     # Entry (i, j) is phi_min(i,j) . A phi_max(i,j), so the Gram matrix is
     # symmetric bit for bit in f64 too.
     m = len(phi)
@@ -357,22 +325,17 @@ def irm_step(state, A, b, cfg, gen=None):
     for j in range(m):
         for i in range(j + 1):
             gram[i][j] = gram[j][i] = dot(phi[i], images[j])
-    rbar = [dot(f, r1) for f in phi]
-    update = _ritz_update(phi, images, gram, rbar, x1.field)
+    rhs = [rr if f is r1 else dot(f, r1) for f in phi]
+    if cfg.method == IRM_CG:
+        rhs[1] = cfg.omega * rhs[1]
+    update = _ritz_update(phi, images, gram, rhs, x1.field)
     if update is None:
+        if cfg.method == IRM_CG:
+            raise NumericalBreakdown("r.A r vanished with a nonzero residual")
         raise GeneratorError("all generated vectors were dependent or zero")
     new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed)
     _check_budget(new, cfg)
     return new
-
-
-def _step_function(cfg):
-    if cfg.method == CG:
-        return cg_step
-    if cfg.method == IRM_CG:
-        return irmcg_step
-    gen = CoordinateGenerator(cfg.generator)
-    return lambda state, A, b, c: irm_step(state, A, b, c, gen)
 
 
 def _apply_perturbations(state, A, perturbations, index):
@@ -415,7 +378,7 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
     if x0 is None:
         x0 = Vector.zeros(A.n, A.field)
     rcfg = cfg.resolved(A.field, A.n)
-    step = _step_function(rcfg)
+    step = cg_step if rcfg.method == CG else irm_step
 
     def trace_for(termination, records):
         return ConvergenceTrace(

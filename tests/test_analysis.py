@@ -243,6 +243,13 @@ class TestCompare:
         rep = compare(tE, double_trace([4.0, 1.0]))
         assert rep.delta_steps == 0
 
+    @pytest.mark.parametrize("gap", [-1.0, float("nan"), float("inf")])
+    def test_gap_must_be_finite_and_nonnegative(self, gap):
+        t = exact_trace([4, 1, 0])
+        with pytest.raises(ValueError):
+            compare(t, t, gap=gap)
+        assert compare(t, t, gap=0.0).divergence_step is None
+
     def test_render_report_mentions_key_fields(self):
         tE = exact_trace([4, 1, 0])
         tDP = double_trace([4.0, 1.0, 1e-30])

@@ -146,6 +146,10 @@ class TestRotationPlan:
         assert len(random_plan(5, 4, 9).steps) == 4
         assert random_plan(1, 3, 0).steps == ()
 
+    def test_random_plan_rejects_a_negative_count(self):
+        with pytest.raises(ValueError):
+            random_plan(5, -3, 0)
+
 
 class TestGenRotated:
     def test_two_by_two_exact_entries(self):

@@ -129,6 +129,17 @@ class TestGen:
         assert code == EXIT_OK
         assert [str(e) for e in read_vector(str(tmp_path / "sys" / "b.txt"))] == ["3", "4"]
 
+    @pytest.mark.parametrize("args", [
+        ["--spectrum", "1x1,2x1", "--rotate", "-3"],
+        ["--chain", "3", "--stiff", "1,1,1,1", "--rotate", "5"],
+        ["--spectrum", "1x1,2x1", "--stiff", "1,2"],
+    ])
+    def test_ignored_options_are_rejected(self, tmp_path, capsys, args):
+        code, out, err = run(["gen", *args, "-o", str(tmp_path / "sys")], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "sys").exists()
+
 
 class TestSolve:
     def test_exact_diag_converges(self, tmp_path, capsys):
@@ -392,6 +403,13 @@ class TestCompare:
         open(t2, "w").write(text)
         code, _, err = run(["compare", t1, t2], capsys)
         assert code == EXIT_INCOMPARABLE and "error:" in err
+
+    @pytest.mark.parametrize("gap", ["-1", "nan", "inf"])
+    def test_meaningless_gap_is_a_usage_error(self, tmp_path, capsys, gap):
+        t = self.make_trace(tmp_path, capsys, "e", "--eps", "1e-10")
+        code, out, err = run(["compare", t, t, "--gap", gap], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: gap") and err.count("\n") == 1
 
 
 class TestActive:

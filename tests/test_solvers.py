@@ -46,14 +46,12 @@ from irmcg.solvers import (
     GEN_JACOBI,
     GEN_RESIDUAL,
     GEN_RESIDUAL_INCREMENT,
-    CoordinateGenerator,
     Perturbation,
     SolverConfig,
     SolverState,
     cg_step,
     init,
     irm_step,
-    irmcg_step,
     solve,
 )
 
@@ -150,7 +148,7 @@ class TestSteps:
         A = SymmetricMatrix.diagonal([1, 1])
         b = Vector.exact([1, 2])
         cfg = resolved(2)
-        state = irmcg_step(init(A, b, Vector.zeros(2, EXACT)), A, b, cfg)
+        state = irm_step(init(A, b, Vector.zeros(2, EXACT)), A, b, cfg)
         assert state.converged and state.x == b and state.r.is_zero()
 
     def test_irmcg_terminates_at_distinct_eigenvalue_count(self):
@@ -159,7 +157,7 @@ class TestSteps:
         cfg = resolved(3)
         state = init(A, b, Vector.zeros(3, EXACT))
         for _ in range(3):
-            state = irmcg_step(state, A, b, cfg)
+            state = irm_step(state, A, b, cfg)
         assert state.converged and state.i == 3
         assert list(state.x.data) == oracles.gauss_solve(
             oracles.unpack(A), [F(1), F(1), F(1)]
@@ -170,9 +168,9 @@ class TestSteps:
         b = Vector.exact([1, 1, 1])
         cfg = resolved(3)
         state = init(A, b, Vector.zeros(3, EXACT))
-        state = irmcg_step(state, A, b, cfg)
+        state = irm_step(state, A, b, cfg)
         assert not state.converged
-        state = irmcg_step(state, A, b, cfg)
+        state = irm_step(state, A, b, cfg)
         assert state.converged and state.i == 2
 
     def test_cg_identity_converges_in_one(self):
@@ -191,7 +189,7 @@ class TestSteps:
         cfg_ir = resolved(3)
         for _ in range(3):
             s_cg = cg_step(s_cg, A, b, cfg_cg)
-            s_ir = irmcg_step(s_ir, A, b, cfg_ir)
+            s_ir = irm_step(s_ir, A, b, cfg_ir)
             assert s_cg.x == s_ir.x and s_cg.r == s_ir.r
         assert s_cg.converged and s_ir.converged
 
@@ -208,9 +206,9 @@ class TestSteps:
         A = SymmetricMatrix.diagonal([1])
         x0 = Vector.exact([2])
         state = init(A, matvec(A, x0), x0)
-        for fn in (irmcg_step, cg_step, irm_step):
+        for fn, method in ((irm_step, IRM_CG), (cg_step, CG), (irm_step, IRM)):
             with pytest.raises(ValueError):
-                fn(state, A, matvec(A, x0), resolved(1))
+                fn(state, A, matvec(A, x0), resolved(1, method=method))
 
     def test_cg_breakdown_on_zero_curvature_direction(self):
         A = SymmetricMatrix.diagonal([1, 1])
@@ -273,17 +271,17 @@ class TestGenericIrm:
 
     def test_jacobi_generator_scales_by_diagonal(self):
         A = SymmetricMatrix.diagonal([2, 4])
-        gen = CoordinateGenerator(GEN_JACOBI)
         r = Vector.exact([1, 1])
         p = Vector.exact([0, 1])
-        cand = gen.vectors(r, p, A)
+        cand = solvers_module._directions(GEN_JACOBI, r, p, A)
         assert cand[0] == Vector.exact([F(1, 2), F(1, 4)])
         assert cand[1] == p
 
     def test_generator_rejects_all_zero(self):
-        gen = CoordinateGenerator(GEN_RESIDUAL)
         with pytest.raises(GeneratorError):
-            gen.vectors(Vector.zeros(2, EXACT), Vector.zeros(2, EXACT), None)
+            solvers_module._directions(
+                GEN_RESIDUAL, Vector.zeros(2, EXACT), Vector.zeros(2, EXACT), None
+            )
 
 
 class TestRitzUpdate:
@@ -309,7 +307,7 @@ class TestRitzUpdate:
         with pytest.raises(GeneratorError):
             irm_step(state, A, b, SolverConfig(method=IRM).resolved(F64, 1))
         with pytest.raises(NumericalBreakdown):
-            irmcg_step(state, A, b, SolverConfig().resolved(F64, 1))
+            irm_step(state, A, b, SolverConfig().resolved(F64, 1))
 
 
 class TestSolve:
@@ -497,6 +495,13 @@ class TestMatvecBudget:
 
     def test_cg_recursive_steps_cost_one_product(self, monkeypatch):
         assert self.run_counted(CG, monkeypatch) == [2, 1, 1]
+
+    def test_irm_recursive_steps_cost_two_products(self, monkeypatch):
+        # IRM takes a fresh image of every direction: the first step
+        # refreshes and forms A r and A p, the middle step forms A r and
+        # A p, and the terminal step sees rr = 0 first.  One product per
+        # recursive step is what sets irm-cg apart.
+        assert self.run_counted(IRM, monkeypatch) == [3, 2, 0]
 
 
 class TestPerturbation:
