@@ -28,7 +28,6 @@ from .benchgen import (
     random_plan,
 )
 from .linalg import (
-    RitzSystem,
     SymmetricMatrix,
     Vector,
     condition_estimate,

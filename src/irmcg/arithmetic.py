@@ -78,7 +78,12 @@ def rationalize(x):
 
 
 def demote(q):
-    """Round an exact rational to the nearest binary64 (ties to even)."""
+    """Round an exact rational to the nearest binary64 (ties to even).
+
+    A float is already a binary64 and is returned as a Python float.
+    """
+    if isinstance(q, float):
+        return float(q)
     if not isinstance(q, Fraction):
         q = Fraction(q)
     try:

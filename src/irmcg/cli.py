@@ -51,9 +51,7 @@ from .linalg import (
     Vector,
     demote_matrix,
     demote_vector,
-    is_matrix_market,
     read_matrix,
-    read_matrix_market,
     read_vector,
     snap_matrix,
     snap_vector,
@@ -223,7 +221,10 @@ def _run_gen(opts, out):
         else:
             A, b, m = benchgen.gen_diagonal(spec)
     outdir = opts["out"]
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from None
     write_matrix(A, os.path.join(outdir, "A.txt"))
     write_vector(b, os.path.join(outdir, "b.txt"))
     if m is not None:
@@ -231,14 +232,8 @@ def _run_gen(opts, out):
     return EXIT_OK
 
 
-def _load_matrix(path):
-    if is_matrix_market(path):
-        return read_matrix_market(path)
-    return read_matrix(path)
-
-
 def _run_solve(opts, out):
-    A = _load_matrix(opts["matrix"])
+    A = read_matrix(opts["matrix"])
     b = read_vector(opts["vector"])
     x0 = read_vector(opts["x0"]) if opts["x0"] else None
     snap = opts["snap_zero"]
@@ -298,7 +293,7 @@ def _run_compare(opts, out):
 
 
 def _run_active(opts, out):
-    D = _load_matrix(opts["matrix"])
+    D = read_matrix(opts["matrix"])
     b = read_vector(opts["vector"])
     print("m=%d" % count_active(D, b), file=out)
     return EXIT_OK

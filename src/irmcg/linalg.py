@@ -54,9 +54,6 @@ from .errors import (
     SingularRitzSystem,
 )
 
-# Cap on the number of coordinate vectors per generic IRM step.
-M_MAX = 4
-
 DENSE = "dense"
 DIAGONAL = "diagonal"
 
@@ -360,7 +357,7 @@ def add_to_entry(v, index, delta):
         raise DimensionError("component index out of range")
     if v.field == F64:
         arr = v._data.copy()
-        arr[index] += float(delta)
+        arr[index] += demote(delta)
         return Vector(arr, F64)
     delta = Fraction(delta)
     den = math.lcm(v.den, delta.denominator)
@@ -400,44 +397,28 @@ def matvec(A, v):
     return Vector(sums, field)
 
 
-class RitzSystem:
-    """Small projected system abar a = rbar (m <= M_MAX).
+def small_solve(abar, rbar, field):
+    """Solve the projected system abar a = rbar of one or two directions.
 
-    abar is assembled symmetrically by the callers, so the symmetry
-    invariant is structural; the constructor still verifies it.
-    """
-
-    __slots__ = ("abar", "rbar", "m", "field")
-
-    def __init__(self, abar, rbar, field):
-        m = len(rbar)
-        if not 1 <= m <= M_MAX:
-            raise ValueError("projected system size %d outside 1..%d" % (m, M_MAX))
-        if len(abar) != m or any(len(row) != m for row in abar):
-            raise DimensionError("abar is not %d x %d" % (m, m))
-        if field == F64 and not all(map(math.isfinite, itertools.chain(rbar, *abar))):
-            raise InvalidScalar("projected system contains NaN or infinity")
-        for i in range(m):
-            for j in range(i):
-                if abar[i][j] != abar[j][i]:
-                    raise ValueError("abar is not symmetric")
-        scalar = SCALAR[field]
-        self.abar = tuple(tuple(map(scalar, row)) for row in abar)
-        self.rbar = tuple(map(scalar, rbar))
-        self.m = m
-        self.field = field
-
-
-def small_solve(sys):
-    """Solve the projected system by Gaussian elimination with partial pivoting.
-
-    One algorithm serves both lanes.  In exact arithmetic the solution
-    is unique, so the pivot order does not show in it; in f64 a pivot
-    of exactly 0.0 is singular, as in exact arithmetic.  Raises
+    Entries of any numeric type are taken as the lane's scalars (so int
+    inputs solve exactly), and a is a list of them.  abar must be
+    square, finite in f64, and symmetric.  Gaussian elimination with
+    partial pivoting serves both lanes.  In exact arithmetic the
+    solution is unique, so the pivot order does not show in it; in f64
+    a pivot of exactly 0.0 is singular, as in exact arithmetic.  Raises
     SingularRitzSystem on a zero pivot.
     """
-    m = sys.m
-    aug = [list(row) + [rhs] for row, rhs in zip(sys.abar, sys.rbar)]
+    m = len(rbar)
+    if len(abar) != m or any(len(row) != m for row in abar):
+        raise DimensionError("abar is not %d x %d" % (m, m))
+    if field == F64 and not all(map(math.isfinite, itertools.chain(rbar, *abar))):
+        raise InvalidScalar("projected system contains NaN or infinity")
+    for i in range(m):
+        for j in range(i):
+            if abar[i][j] != abar[j][i]:
+                raise ValueError("abar is not symmetric")
+    scalar = SCALAR[field]
+    aug = [[*map(scalar, row), scalar(rhs)] for row, rhs in zip(abar, rbar)]
     for k in range(m):
         pivot_row = max(range(k, m), key=lambda r: abs(aug[r][k]))
         if aug[pivot_row][k] == 0:
@@ -454,7 +435,7 @@ def small_solve(sys):
         for j in range(i + 1, m):
             s -= aug[i][j] * sol[j]
         sol[i] = s / aug[i][i]
-    return Vector(sol, sys.field)
+    return sol
 
 
 def spd_check(A, budget=BitBudget()):
@@ -755,7 +736,14 @@ def write_vector(v, path):
 
 
 def read_matrix(path):
-    tokens = read_text(path).split()
+    """A native matrix file, or a Matrix Market one when its text starts with the banner."""
+    text = read_text(path)
+    if text.startswith("%%MatrixMarket"):
+        lines = text.splitlines()
+        del text
+        return _parse_matrix_market(lines)
+    tokens = text.split()
+    del text
     if len(tokens) < 2 or tokens[0] not in ("symmetric", "diagonal"):
         raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
     symmetric, n = tokens[0] == "symmetric", _parse_count(tokens[1])
@@ -785,14 +773,6 @@ def read_vector(path):
     return Vector([parse_rational(t) for t in body], EXACT)
 
 
-def is_matrix_market(path):
-    try:
-        with open(path, "r") as fh:
-            return fh.readline().startswith("%%MatrixMarket")
-    except OSError as exc:
-        raise IoError(str(exc)) from None
-
-
 def read_matrix_market(path):
     """Ingest a Matrix Market symmetric coordinate file, bit-exactly.
 
@@ -800,7 +780,11 @@ def read_matrix_market(path):
     is read as exact integers.  Only the symmetric qualifier is accepted
     since the storage here cannot represent anything else.
     """
-    lines = read_text(path).splitlines()
+    return _parse_matrix_market(read_text(path).splitlines())
+
+
+def _parse_matrix_market(lines):
+    """The matrix of a Matrix Market file's lines; empties the list it is given."""
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise FormatError("missing MatrixMarket banner")
     banner = lines[0].split()
@@ -847,7 +831,8 @@ def read_matrix_market(path):
         jj.append(j)
         values.append(Fraction(x))
     # The text goes before the O(nnz) arrays are built, not after.
-    del lines, body, seen
+    lines.clear()
+    del body, seen
     return SymmetricMatrix(rows, ii, jj, values)
 
 

@@ -9,7 +9,7 @@ Three methods run on two step functions:
   minimization over a small subspace, whose projected (Ritz) system is
   solved with one elimination that also decides which directions to
   keep (while the system is singular the last direction is dropped).
-  ``irm`` takes up to M_MAX directions from a coordinate-vector
+  ``irm`` takes one or two directions from a coordinate-vector
   generator, each with a fresh image.  ``irm-cg`` is its special case
   on span{r, p} with a single matrix-vector product per recursive
   step: the new residual is obtained by recurrence, alpha = A r is the
@@ -43,7 +43,7 @@ from .analysis import (
     StepRecord,
     tag_for,
 )
-from .arithmetic import EXACT, SCALAR, BitBudget
+from .arithmetic import EXACT, BitBudget, demote
 from .errors import (
     BudgetExceeded,
     DimensionError,
@@ -52,8 +52,6 @@ from .errors import (
     SingularRitzSystem,
 )
 from .linalg import (
-    M_MAX,
-    RitzSystem,
     Vector,
     add_scaled,
     add_to_entry,
@@ -112,6 +110,11 @@ class SolverConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.method == CG and self.omega != 1:
             raise ValueError("cg ignores relaxation; omega must be 1")
+        if self.method != IRM and self.generator != GEN_RESIDUAL_INCREMENT:
+            raise ValueError(
+                "%s ignores the generator; generator must be %r"
+                % (self.method, GEN_RESIDUAL_INCREMENT)
+            )
         if self.refresh_k is not None and self.refresh_k < 1:
             raise ValueError("refresh_k must be >= 1")
         if self.max_steps is not None and self.max_steps < 1:
@@ -119,7 +122,7 @@ class SolverConfig:
 
     def resolved(self, field, n):
         """Copy with backend-typed scalars and concrete defaults."""
-        scalar = SCALAR[field]
+        scalar = Fraction if field == EXACT else demote
         refresh = DEFAULT_REFRESH_EXACT if field == EXACT else DEFAULT_REFRESH_F64
         return replace(
             self,
@@ -238,12 +241,12 @@ def _ritz_update(dirs, images, gram, rhs, field):
     """
     for m in range(len(dirs), 0, -1):
         try:
-            a = small_solve(RitzSystem([row[:m] for row in gram[:m]], rhs[:m], field))
+            a = small_solve([row[:m] for row in gram[:m]], rhs[:m], field)
         except SingularRitzSystem:
             continue
         p1 = vscale(a[0], dirs[0])
         beta1 = vscale(a[0], images[0])
-        for coeff, f, Af in zip(a.data[1:], dirs[1:], images[1:]):
+        for coeff, f, Af in zip(a[1:], dirs[1:], images[1:]):
             p1 = add_scaled(p1, coeff, f)
             beta1 = add_scaled(beta1, coeff, Af)
         return p1, beta1
@@ -276,7 +279,7 @@ def cg_step(state, A, b, cfg):
 
 
 def _directions(generator, r, p, A):
-    """The nonzero coordinate vectors of one generic IRM step, at most M_MAX.
+    """The nonzero coordinate vectors of one generic IRM step: one or two.
 
     The generator runs on the updated residual r and the old increment
     p; the Ritz solve filters out dependent ones.
@@ -290,7 +293,7 @@ def _directions(generator, r, p, A):
     out = [v for v in cand if not v.is_zero()]
     if not out:
         raise GeneratorError("generator %r emitted no nonzero vectors" % generator)
-    return out[:M_MAX]
+    return out
 
 
 def irm_step(state, A, b, cfg):

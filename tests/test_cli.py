@@ -140,6 +140,14 @@ class TestGen:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "sys").exists()
 
+    def test_output_onto_a_regular_file_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "F"
+        target.write_text("kept\n")
+        code, out, err = run(["gen", "--spectrum", "1x1", "-o", str(target)], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_text() == "kept\n"
+
 
 class TestSolve:
     def test_exact_diag_converges(self, tmp_path, capsys):
@@ -364,6 +372,25 @@ class TestSolve:
             ["solve", a_path, b_path, "--method", "cg", "--omega", "1.5"], capsys
         )
         assert code == EXIT_USAGE and "omega" in err
+
+    @pytest.mark.parametrize("method", ["cg", "irm-cg"])
+    def test_generator_applies_to_irm_only(self, tmp_path, capsys, method):
+        a_path, b_path, _ = gen_system(tmp_path, capsys, "--spectrum", "2x1")
+        code, out, err = run(
+            ["solve", a_path, b_path, "--method", method,
+             "--generator", "jacobi-residual+increment"], capsys
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: %s ignores the generator" % method)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [["--eps", "1e400"], ["--perturb", "1:1:1e400"]])
+    def test_f64_scalar_beyond_double_range(self, tmp_path, capsys, extra):
+        a_path, b_path, _ = gen_system(tmp_path, capsys, "--spectrum", "2x1,3x1")
+        code, out, err = run(["solve", a_path, b_path, "--arith", "f64", *extra], capsys)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("error: ") and "does not fit in a double" in err
+        assert err.count("\n") == 1
 
 
 class TestCompare:

@@ -9,10 +9,16 @@ change of the trace format or of the generated inputs.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from irmcg.cli import EXIT_BUDGET, EXIT_OK, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MATRIX_MARKET = (
     "%%MatrixMarket matrix coordinate real symmetric\n"
@@ -109,3 +115,25 @@ def test_exact_outputs_match_pins(name, tmp_path, capsys):
     capsys.readouterr()
     got = {"%s/%s" % (name, p.name): _sha(p) for p in produced}
     assert got == {key: pin for key, pin in PINS.items() if key.startswith(name + "/")}
+
+
+# The benchmark's pins are regenerated with perfbench/make_pins.py; this
+# runs its pins_for for one seed and checks it against perfbench/pins.json.
+# It runs in a subprocess, so perfbench's import-time settings (one BLAS
+# thread, no bytecode files) stay out of this process.
+PINS_SCRIPT = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, "perfbench")
+import make_pins
+print(json.dumps(make_pins.pins_for(int(sys.argv[1]), sys.argv[2])))
+"""
+
+
+def test_benchmark_pins_reproduce(tmp_path):
+    seed = 3
+    done = subprocess.run([sys.executable, "-c", PINS_SCRIPT, str(seed), str(tmp_path)],
+                          cwd=ROOT, capture_output=True, text=True, check=True)
+    with open(os.path.join(ROOT, "perfbench", "pins.json")) as fh:
+        pinned = json.load(fh)["seeds"][str(seed)]
+    assert json.loads(done.stdout.splitlines()[-1]) == pinned

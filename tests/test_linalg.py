@@ -27,7 +27,6 @@ from irmcg.errors import (
     SingularRitzSystem,
 )
 from irmcg.linalg import (
-    RitzSystem,
     SymmetricMatrix,
     Vector,
     add_scaled,
@@ -123,6 +122,11 @@ class TestVector:
     def test_mixed_fields_rejected(self):
         with pytest.raises(DimensionError):
             dot(Vector.exact([1]), Vector.f64([1.0]))
+
+    def test_f64_entry_delta_beyond_double_range(self):
+        with pytest.raises(ScalarOverflow, match="does not fit in a double"):
+            add_to_entry(Vector.f64([1.0]), 0, F(10) ** 400)
+        assert add_to_entry(Vector.f64([1.0]), 0, F(1, 3)).data[0] == 1.0 + 1 / 3
 
 
 # Dyadic entries are exact in f64, so the two lanes must agree bit for
@@ -435,19 +439,20 @@ def test_storage_invariants(how, tmp_path):
 
 class TestSmallSolve:
     def test_diagonal_2x2(self):
-        sys2 = RitzSystem([[2, 0], [0, 4]], [2, 8], EXACT)
-        assert small_solve(sys2) == Vector.exact([1, 2])
+        got = small_solve([[2, 0], [0, 4]], [2, 8], EXACT)
+        assert got == [1, 2] and all(type(e) is F for e in got)
 
     def test_1x1(self):
-        assert small_solve(RitzSystem([[4]], [2], EXACT)) == Vector.exact([F(1, 2)])
+        got = small_solve([[4]], [2], EXACT)
+        assert got == [F(1, 2)] and type(got[0]) is F
 
     def test_singular(self):
         with pytest.raises(SingularRitzSystem):
-            small_solve(RitzSystem([[1, 1], [1, 1]], [1, 1], EXACT))
+            small_solve([[1, 1], [1, 1]], [1, 1], EXACT)
 
     def test_f64_singular(self):
         with pytest.raises(SingularRitzSystem):
-            small_solve(RitzSystem([[0.0]], [1.0], F64))
+            small_solve([[0.0]], [1.0], F64)
 
     @pytest.mark.parametrize("abar, rbar", [
         ([[1.0, float("nan")], [float("nan"), 1.0]], [1.0, 1.0]),
@@ -456,11 +461,10 @@ class TestSmallSolve:
     ])
     def test_f64_non_finite_rejected(self, abar, rbar):
         with pytest.raises(InvalidScalar):
-            RitzSystem(abar, rbar, F64)
+            small_solve(abar, rbar, F64)
 
     def test_f64_partial_pivot(self):
-        got = small_solve(RitzSystem([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0], F64))
-        assert list(got.data) == [1.0, 2.0]
+        assert small_solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0], F64) == [1.0, 2.0]
 
     @settings(max_examples=40)
     @given(st.integers(0, 10**6), st.integers(1, 4))
@@ -469,16 +473,11 @@ class TestSmallSolve:
         A = random_spd(rng, m)
         rows = oracles.unpack(A)
         rbar = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
-        a = small_solve(RitzSystem(rows, rbar, EXACT))
+        a = small_solve(rows, rbar, EXACT)
         residual = [
-            oracles.vdot(rows[i], list(a.data)) - rbar[i] for i in range(m)
+            oracles.vdot(rows[i], a) - rbar[i] for i in range(m)
         ]
         assert all(e == 0 for e in residual)
-
-    def test_rejects_oversized(self):
-        rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-        with pytest.raises(ValueError):
-            RitzSystem(rows, [1] * 5, EXACT)
 
 
 class TestSpdCheck:
@@ -920,6 +919,17 @@ class TestMatrixMarket:
         )
         with pytest.raises(FormatError, match=repr(line)):
             read_matrix_market(path)
+
+    def test_read_matrix_takes_either_format(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 1 0.5\n"
+        )
+        assert read_matrix(path) == read_matrix_market(path)
+        assert read_matrix(path).entry(1, 1) == 0
+        path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n")
+        with pytest.raises(FormatError, match="symmetric qualifier"):
+            read_matrix(path)
 
     def test_rejects_duplicate_entries(self, tmp_path):
         path = tmp_path / "m.mtx"

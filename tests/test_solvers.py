@@ -23,6 +23,7 @@ from irmcg.errors import (
     InvalidScalar,
     NotSPD,
     NumericalBreakdown,
+    ScalarOverflow,
 )
 from irmcg.linalg import (
     SymmetricMatrix,
@@ -93,6 +94,19 @@ class TestConfig:
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             SolverConfig(generator="krylov")
+
+    @pytest.mark.parametrize("method", [CG, IRM_CG])
+    @pytest.mark.parametrize("generator", [GEN_RESIDUAL, GEN_JACOBI])
+    def test_generator_applies_to_irm_only(self, method, generator):
+        with pytest.raises(ValueError, match="ignores the generator"):
+            SolverConfig(method=method, generator=generator)
+        SolverConfig(method=IRM, generator=generator)
+
+    def test_f64_epsilon_beyond_double_range(self):
+        cfg = SolverConfig(epsilon=F(10) ** 400)
+        assert cfg.resolved(EXACT, 2).epsilon == F(10) ** 400
+        with pytest.raises(ScalarOverflow, match="does not fit in a double"):
+            cfg.resolved(F64, 2)
 
     def test_negative_epsilon(self):
         with pytest.raises(ValueError):
