@@ -129,22 +129,28 @@ class BitBudget:
             )
 
 
-@any_size
-def parse_rational(text):
-    """Parse a rational literal: optional sign, integer, optional /positive-integer.
+def rational_parts(text):
+    """Split a rational literal into ints (p, q), q > 0, not reduced.
 
-    This is the strict grammar used by matrix and vector files
-    (e.g. "-36/25", "7").  Decimal notation is rejected here.
+    The strict grammar of matrix and vector files: optional sign,
+    integer, optional /positive-integer (e.g. "-36/25", "7", "2/4").
+    Decimal notation is rejected.  Literals past 4300 digits need
+    Python's limit lifted by the caller (``any_size``).
     """
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise FormatError("not a rational literal: %r" % text)
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise FormatError("zero denominator in %r" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    den = int(den) if den else 1
+    if den == 0:
+        raise FormatError("zero denominator in %r" % text)
+    return int(num), den
+
+
+@any_size
+def parse_rational(text):
+    """The Fraction of a rational literal (grammar: ``rational_parts``)."""
+    return Fraction(*rational_parts(text))
 
 
 def parse_decimal(text):

@@ -10,8 +10,9 @@ exact inner product is one int dot and one Fraction; a sum or a scaled
 sum combines numerators over the lcm of the denominators and reduces
 the result once, as a whole.  Fractions are formed only where values
 leave the storage (``Vector.data``, ``entry``, ``diag``, ``full``,
-snapping, files, the SPD gate); demotion divides each numerator by
-``den`` directly.
+snapping, written files, the SPD gate); native files are read straight
+into numerators, and demotion divides each numerator by ``den``
+directly.
 
 A symmetric matrix is stored as compressed sparse rows of its full
 pattern.  One matvec, ``np.add.reduceat(data * v[indices],
@@ -38,7 +39,7 @@ from .arithmetic import (
     BitBudget,
     any_size,
     demote,
-    parse_rational,
+    rational_parts,
     rationalize,
     snap_zero,
 )
@@ -195,6 +196,25 @@ class SymmetricMatrix:
             vals, den = _numerators(values)
         else:
             vals, den = _array(values, field, "matrix"), None
+        self._store(n, rows, cols, vals, den, field)
+
+    @classmethod
+    def _ints(cls, n, rows, cols, nums, den):
+        """Exact order-n matrix nums / den at lower-triangle coordinates.
+
+        nums is an object array of ints, den > 0; the values are reduced
+        once as a whole, as ``Vector._ints`` does.
+        """
+        g = math.gcd(den, *nums.tolist())
+        if g != 1:
+            nums //= g
+            den //= g
+        A = cls.__new__(cls)
+        A._store(n, rows, cols, nums, den, EXACT)
+        return A
+
+    def _store(self, n, rows, cols, vals, den, field):
+        # vals: the backend's storage of the values (float64, or int numerators over den).
         rows, cols = (np.asarray(x, dtype=np.intp) for x in (rows, cols))
         if vals.ndim != 1 or rows.shape != vals.shape or cols.shape != vals.shape:
             raise DimensionError("need one row and one column index per value")
@@ -612,10 +632,21 @@ def ensure_spd(A, budget=BitBudget()):
         raise NotSPD("matrix failed the SPD check")
 
 
-def energy(A, b, x):
-    """Quadratic objective (1/2) x.Ax - x.b, minimized at the solution."""
-    half = SCALAR[x.field](1) / 2
-    return half * dot(x, matvec(A, x)) - dot(x, b)
+def energy(A, b, x, r=None):
+    """Quadratic objective (1/2) x.Ax - x.b, minimized at the solution.
+
+    Given an exact x and its residual r = b - A x, the objective is
+    -(x.b + x.r)/2: two int dots and one Fraction, with no matvec.  An
+    f64 r is not used: a recursive f64 residual drifts from b - A x, and
+    the value must stay the energy of x.
+    """
+    if r is None or x.field == F64:
+        half = SCALAR[x.field](1) / 2
+        return half * dot(x, matvec(A, x)) - dot(x, b)
+    _lane(x, b)
+    _lane(x, r)
+    xb, xr = np.dot(x.num, b.num), np.dot(x.num, r.num)
+    return Fraction(-(xb * r.den + xr * b.den), 2 * x.den * b.den * r.den)
 
 
 def condition_estimate(A):
@@ -735,8 +766,13 @@ def write_vector(v, path):
     write_text(path, "\n".join(lines) + "\n")
 
 
+@any_size
 def read_matrix(path):
-    """A native matrix file, or a Matrix Market one when its text starts with the banner."""
+    """A native matrix file, or a Matrix Market one when its text starts with the banner.
+
+    A native file's literals go straight to int numerators over their
+    common denominator (``_literal_numerators``).
+    """
     text = read_text(path)
     if text.startswith("%%MatrixMarket"):
         lines = text.splitlines()
@@ -751,26 +787,44 @@ def read_matrix(path):
     want = n * (n + 1) // 2 if symmetric else n
     if len(tokens) != want:
         raise FormatError("expected %d entries, found %d" % (want, len(tokens)))
-    # Parse each distinct literal once; dict order reports the first bad one.
-    values = {t: parse_rational(t) for t in dict.fromkeys(tokens)}
-    zeros = {t for t, q in values.items() if not q}
-    kept = np.flatnonzero(~np.fromiter(map(zeros.__contains__, tokens), bool, len(tokens)))
+    nums, den = _literal_numerators(tokens)
+    kept = np.flatnonzero(np.fromiter(map(nums.__getitem__, tokens), bool, len(tokens)))
     rows = cols = kept
     if symmetric:
         rows = np.searchsorted(np.cumsum(np.arange(n)), kept, side="right") - 1
         cols = kept - rows * (rows + 1) // 2
-    return SymmetricMatrix(n, rows, cols, [values[tokens[k]] for k in kept.tolist()], EXACT)
+    data = np.empty(kept.size, dtype=object)
+    data[:] = [nums[tokens[k]] for k in kept.tolist()]
+    return SymmetricMatrix._ints(n, rows, cols, data, den)
 
 
+@any_size
 def read_vector(path):
     tokens = read_text(path).split()
     if len(tokens) < 2 or tokens[0] != "vector":
         raise FormatError("vector file must start with 'vector n'")
     n = _parse_count(tokens[1])
-    body = tokens[2:]
-    if len(body) != n:
-        raise FormatError("expected %d entries, found %d" % (n, len(body)))
-    return Vector([parse_rational(t) for t in body], EXACT)
+    del tokens[:2]
+    if len(tokens) != n:
+        raise FormatError("expected %d entries, found %d" % (n, len(tokens)))
+    nums, den = _literal_numerators(tokens)
+    num = np.empty(n, dtype=object)
+    num[:] = list(map(nums.__getitem__, tokens))
+    return Vector._ints(num, den)
+
+
+def _literal_numerators(tokens):
+    """({literal: int numerator}, L) for the distinct literals, over L = lcm of their q.
+
+    Each literal p/q is split once (``rational_parts``; dict order
+    reports the first bad one) and its numerator is p (L / q).  L is a
+    common denominator of the values, so the caller's one reduction by
+    gcd(L, *numerators) leaves their least one, even for unreduced
+    literals such as 2/4: no Fraction or gcd per literal is needed.
+    """
+    parts = {t: rational_parts(t) for t in dict.fromkeys(tokens)}
+    den = math.lcm(*{q for _, q in parts.values()})
+    return {t: p * (den // q) for t, (p, q) in parts.items()}, den
 
 
 def read_matrix_market(path):

@@ -106,7 +106,7 @@ class SolverConfig:
             raise ValueError("unknown generator %r" % self.generator)
         if not 0 < self.omega < 2:
             raise ValueError("omega must lie in the open interval (0, 2)")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN too: rr <= NaN never converges
             raise ValueError("epsilon must be nonnegative")
         if self.method == CG and self.omega != 1:
             raise ValueError("cg ignores relaxation; omega must be 1")
@@ -403,7 +403,8 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
     threshold = rcfg.epsilon * rcfg.epsilon * state.rr0
 
     def record_of(st, rr, hit):
-        e = energy(A, b, st.x) if rcfg.record_energy else None
+        # Every exact state's r is exactly b - A x, so its energy needs no matvec.
+        e = energy(A, b, st.x, st.r) if rcfg.record_energy else None
         return StepRecord(st.i, rr, e, st.refreshed, hit)
 
     records = [record_of(state, state.rr0, hit0)]

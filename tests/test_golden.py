@@ -96,25 +96,64 @@ def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_exact_outputs_match_pins(name, tmp_path, capsys):
-    gen_args, solves = CASES[name]
+def _system(name, tmp_path):
+    """Paths of case name's matrix and right side, and the files gen wrote."""
+    gen_args = CASES[name][0]
     if gen_args is None:
         a_path, b_path = tmp_path / "A.mtx", tmp_path / "b.txt"
         a_path.write_text(MATRIX_MARKET)
         b_path.write_text(MATRIX_MARKET_RHS)
-        produced = []
-    else:
-        assert main(["gen", *gen_args, "-o", str(tmp_path)]) == EXIT_OK
-        a_path, b_path = tmp_path / "A.txt", tmp_path / "b.txt"
-        produced = [a_path, b_path]
+        return a_path, b_path, []
+    assert main(["gen", *gen_args, "-o", str(tmp_path)]) == EXIT_OK
+    a_path, b_path = tmp_path / "A.txt", tmp_path / "b.txt"
+    return a_path, b_path, [a_path, b_path]
+
+
+def _solved(a_path, b_path, solves, prefix):
+    traces = []
     for k, (args, code) in enumerate(solves):
-        trace = tmp_path / ("solve%d.csv" % k)
+        trace = a_path.parent / ("%s%d.csv" % (prefix, k))
         assert main(["solve", str(a_path), str(b_path), *args, "-o", str(trace)]) == code
-        produced.append(trace)
+        traces.append(trace)
+    return traces
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_exact_outputs_match_pins(name, tmp_path, capsys):
+    a_path, b_path, produced = _system(name, tmp_path)
+    produced += _solved(a_path, b_path, CASES[name][1], "solve")
     capsys.readouterr()
     got = {"%s/%s" % (name, p.name): _sha(p) for p in produced}
     assert got == {key: pin for key, pin in PINS.items() if key.startswith(name + "/")}
+
+
+# f64 runs of every case, energy column included.  The exact lane takes
+# its energy from the residual; an f64 run's recursive residual drifts
+# from b - A x, so its column must stay the energy of x, bit for bit.
+F64_SOLVES = [(["--arith", "f64", "--method", method, "--eps", "1e-12", "--refresh-k", "4"],
+               EXIT_OK) for method in ("cg", "irm-cg")]
+
+F64_PINS = {
+    "chain/f64-0.csv": "008920285624ccf54559f6b6ef07290f54f26a402731ff77e1d1867da29c1e8d",
+    "chain/f64-1.csv": "74fd1e3f7321eb8cdb5e5ff2986a7e5f42cf1ab28ada7b5f911b33f81cb1920c",
+    "diagonal/f64-0.csv": "f9bea27799b42c9fa53afae0f54d5c296128335692663e2139b58da48b1286bf",
+    "diagonal/f64-1.csv": "d887d59c468aec7d778155202a219471c0b24fa4b60053eaea07a67e924c68c0",
+    "matrix-market/f64-0.csv": "a0f099d981f358dac3c9e86c4f8c16eba7e9c433a084d792a7989d01e2b0bb92",
+    "matrix-market/f64-1.csv": "abc5b0c9ea80758312782634c948f274f83602f5a4fc513606d2159bda0d248a",
+    "rotated/f64-0.csv": "20bf86d58649b6b729fb41d65ad42bc2aaf44da60ce51b98bb69fd4ab35e22c3",
+    "rotated/f64-1.csv": "88420f01ed93db1a33420fff4287d3afa1c3a82d3b79388014ddc487eb72e3e6",
+    "rotated-n60/f64-0.csv": "b5de415eda6565d3ccc27e21b8039377d88142aed38283f04598b5a21ba93585",
+    "rotated-n60/f64-1.csv": "87a100533ebe40b5b983924629096b365fdd69ac1bd4124bb4c0f2c41414d267",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_f64_traces_match_pins(name, tmp_path, capsys):
+    a_path, b_path, _ = _system(name, tmp_path)
+    traces = _solved(a_path, b_path, F64_SOLVES, "f64-")
+    capsys.readouterr()
+    got = {"%s/%s" % (name, p.name): _sha(p) for p in traces}
+    assert got == {key: pin for key, pin in F64_PINS.items() if key.startswith(name + "/")}
 
 
 # The benchmark's pins are regenerated with perfbench/make_pins.py; this

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from irmcg import linalg
@@ -809,6 +809,30 @@ class TestConversions:
         assert back == A
 
 
+# Past Python's 4300-digit limit on int <-> str conversions.
+_LONG = "1" + "0" * 4400
+
+# (text, value): spellings the literal grammar allows, unreduced ones included.
+SPECIAL_LITERALS = [
+    ("2/4", F(1, 2)), ("-0", F(0)), ("+0", F(0)), ("0/7", F(0)), ("-0/5", F(0)), ("007", F(7)),
+    ("+3/6", F(1, 2)), ("-" + _LONG + "/3", F(-10**4400, 3)), ("1/0" + _LONG, F(1, 10**4400)),
+]
+
+
+@st.composite
+def literals(draw):
+    """(text, value) of a rational literal: a special one, or p/q with large unrelated q."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SPECIAL_LITERALS))
+    p = draw(st.integers(-10**30, 10**30))
+    q = draw(st.sampled_from([1, 6, 2**61 - 1, 3**40, 10**18 + 9]) | st.integers(1, 10**25))
+    sign = "-" if p < 0 else draw(st.sampled_from(["", "+"]))
+    text = sign + "0" * draw(st.integers(0, 2)) + str(abs(p))
+    if q != 1 or draw(st.booleans()):
+        text += "/" + "0" * draw(st.integers(0, 2)) + str(q)
+    return text, F(p, q)
+
+
 class TestFiles:
     def test_matrix_round_trip_dense(self, tmp_path):
         A = SymmetricMatrix.from_rows([[2, F(-36, 25)], [F(-36, 25), 2]])
@@ -853,6 +877,43 @@ class TestFiles:
         path.write_text("vector 1\n0.5\n")
         with pytest.raises(FormatError):
             read_vector(path)
+
+    @pytest.mark.parametrize("reader, text, message", [
+        (read_matrix, "symmetric 2\n1\n0.5 zz\n", "not a rational literal: '0.5'"),
+        (read_matrix, "symmetric 2\nzz 1/0 0.5\n", "not a rational literal: 'zz'"),
+        (read_matrix, "diagonal 2\n1 3/0\n", "zero denominator in '3/0'"),
+        (read_matrix, "symmetric 2\n1 2\n", "expected 3 entries, found 2"),
+        (read_vector, "vector 3\n1 -2/x 1e3\n", "not a rational literal: '-2/x'"),
+        (read_vector, "vector 2\n1/0 zz\n", "zero denominator in '1/0'"),
+        (read_vector, "vector 2\n1 2 3\n", "expected 2 entries, found 3"),
+    ])
+    def test_read_errors(self, tmp_path, reader, text, message):
+        with pytest.raises(FormatError) as exc:
+            _read(tmp_path, text, reader)
+        assert str(exc.value) == message
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_read_matches_fraction_oracle(self, tmp_path, data):
+        n = data.draw(st.integers(1, 4))
+        kind = data.draw(st.sampled_from(["symmetric", "diagonal", "vector"]))
+        count = n * (n + 1) // 2 if kind == "symmetric" else n
+        texts, values = zip(*data.draw(st.lists(literals(), min_size=count, max_size=count)))
+        text = "%s %d\n%s\n" % (kind, n, " ".join(texts))
+        if kind == "vector":
+            got, want = _read(tmp_path, text, read_vector), Vector.exact(values)
+            nums = got.num.tolist()
+            assert (got.den, nums) == (want.den, want.num.tolist())
+            assert got == want and list(got.data) == list(values)
+        else:
+            got = _read(tmp_path, text)
+            want = (SymmetricMatrix.dense(values, n) if kind == "symmetric"
+                    else SymmetricMatrix.diagonal(values))
+            nums = got.data.tolist()
+            assert (got.den, nums) == (want.den, want.data.tolist())
+            assert got.kind == want.kind and got == want
+        assert all(type(e) is int for e in nums)
 
     def test_write_requires_exact(self, tmp_path):
         A = SymmetricMatrix.diagonal([1.0, 2.0], F64)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+import irmcg.linalg as linalg_module
 import irmcg.solvers as solvers_module
 from irmcg.arithmetic import BitBudget, EXACT, F64
 from irmcg.benchgen import (
@@ -44,6 +45,7 @@ from irmcg.solvers import (
     CG,
     IRM,
     IRM_CG,
+    METHODS,
     GEN_JACOBI,
     GEN_RESIDUAL,
     GEN_RESIDUAL_INCREMENT,
@@ -111,6 +113,11 @@ class TestConfig:
     def test_negative_epsilon(self):
         with pytest.raises(ValueError):
             SolverConfig(epsilon=-1)
+
+    def test_nan_epsilon(self):
+        # rr <= NaN never holds, so such a run would step past convergence.
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            SolverConfig(epsilon=float("nan"))
 
     def test_refresh_floor(self):
         with pytest.raises(ValueError):
@@ -516,6 +523,58 @@ class TestMatvecBudget:
         # A p, and the terminal step sees rr = 0 first.  One product per
         # recursive step is what sets irm-cg apart.
         assert self.run_counted(IRM, monkeypatch) == [3, 2, 0]
+
+
+class TestEnergyColumn:
+    """Exact energies come from the residual, E(x) = -(x.b + x.r)/2, with no matvec."""
+
+    @staticmethod
+    def rotated():
+        spec = SpectrumSpec(tuple((k, 2, True) for k in range(1, 5)), rhs_rule=RHS_RANDOM,
+                            rhs_seed=7)
+        A, b, _ = gen_rotated(spec, random_plan(spec.n, 12, 7))
+        return A, b
+
+    @pytest.mark.parametrize("method, generator, omega", [(CG, GEN_RESIDUAL_INCREMENT, 1)] + [
+        (method, generator, omega)
+        for method, generator in ((IRM_CG, GEN_RESIDUAL_INCREMENT),
+                                  (IRM, GEN_RESIDUAL_INCREMENT), (IRM, GEN_JACOBI))
+        for omega in (1, F(1, 2))
+    ])
+    def test_every_record_is_the_energy_of_its_x(self, method, generator, omega):
+        A, b = self.rotated()
+        x0 = Vector.exact([F(k - 3, k + 1) for k in range(A.n)])
+        xs = [x0]
+        cfg = exact_cfg(method=method, generator=generator, omega=omega, max_steps=10,
+                        bit_budget=BitBudget(4096))
+        _, trace = solve(A, b, x0=x0, cfg=cfg, perturbations=(Perturbation(2, 3, F(-5, 7)),),
+                         observer=lambda _, new: xs.append(new.x))
+        assert any(rec.perturbed for rec in trace.records)
+        assert len(trace.records) == len(xs) >= 3
+        rows, bl = oracles.unpack(A), list(b.data)
+        for rec, x in zip(trace.records, xs):
+            assert rec.energy == oracles.direct_energy(rows, bl, list(x.data))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exact_energy_forms_no_matvec(self, method, monkeypatch):
+        A, b = self.rotated()
+        counts = []
+        for module in (linalg_module, solvers_module):
+            real = module.matvec
+
+            def counting(M, v, real=real):
+                counts.append(None)
+                return real(M, v)
+
+            monkeypatch.setattr(module, "matvec", counting)
+        formed = []
+        for record_energy in (True, False):
+            del counts[:]
+            _, trace = solve(A, b, cfg=exact_cfg(method=method, record_energy=record_energy))
+            formed.append(len(counts))
+        # Four distinct eigenvalues: four steps.
+        assert trace.termination == CONVERGED and trace.steps == 4
+        assert formed[0] == formed[1] > 0
 
 
 class TestPerturbation:
