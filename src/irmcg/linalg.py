@@ -2,17 +2,19 @@
 
 Everything here serves the two scalar backends from
 :mod:`irmcg.arithmetic`, and both store values the same way in vectors
-and matrices.  f64 holds read-only float64 arrays.  Exact holds Python
-int numerators over one common positive denominator ``den`` per
-object (E. H. Bareiss's fraction-free idea), so no Fraction, and no
-gcd per entry, is formed inside a vector operation or a matvec: an
-exact inner product is one int dot and one Fraction; a sum or a scaled
-sum combines numerators over the lcm of the denominators and reduces
-the result once, as a whole.  Fractions are formed only where values
-leave the storage (``Vector.data``, ``entry``, ``diag``, ``full``,
-snapping, written files, the SPD gate); native files are read straight
-into numerators, and demotion divides each numerator by ``den``
-directly.
+and matrices.  f64 holds read-only float64 arrays; the array an f64
+operation computes becomes its result as it is, with no copy.  Exact
+holds Python int numerators over one common positive denominator
+``den`` per object (E. H. Bareiss's fraction-free idea), so no
+Fraction, and no gcd per entry, is formed inside a vector operation or
+a matvec: an exact inner product is one int dot and one Fraction; a
+sum or a scaled sum combines numerators over the lcm of the
+denominators and reduces the result once, as a whole.  Fractions are
+formed only where values leave the storage (``Vector.data``,
+``entry``, ``diag``, ``full``, snapping, the SPD gate); matrix files
+are written from the numerators with one gcd per entry, native files
+are read straight into numerators, and demotion divides each numerator
+by ``den`` directly.
 
 A symmetric matrix is stored as compressed sparse rows of its full
 pattern.  One matvec, ``np.add.reduceat(data * v[indices],
@@ -83,10 +85,11 @@ class Vector:
     entry i is ``Fraction(num[i], den)``.  Equal vectors have equal
     ``num`` and ``den``.  The exact ``data``, a read-only object array
     of those Fractions, is built on first read and kept; a vector built
-    from Fractions keeps the array it was built from.
+    from Fractions keeps the array it was built from.  ``n`` is the
+    length.
     """
 
-    __slots__ = ("_data", "num", "den", "field")
+    __slots__ = ("_data", "num", "den", "field", "n")
 
     def __init__(self, entries, field):
         arr = _array(entries, field, "vector")
@@ -94,6 +97,7 @@ class Vector:
             raise DimensionError("vector must have length >= 1")
         self._data = arr
         self.field = field
+        self.n = arr.shape[0]
         self.num = self.den = None
         if field == EXACT:
             # The lcm of the entries' denominators is already least.
@@ -124,7 +128,20 @@ class Vector:
             den //= g
         num.flags.writeable = False
         v = cls.__new__(cls)
-        v._data, v.num, v.den, v.field = None, num, den, EXACT
+        v._data, v.num, v.den, v.field, v.n = None, num, den, EXACT, num.shape[0]
+        return v
+
+    @classmethod
+    def _f64(cls, arr):
+        """f64 vector that takes arr, a fresh float64 array, without a copy.
+
+        It is checked as ``Vector`` checks its entries, and made read-only.
+        """
+        if not np.isfinite(arr).all():
+            raise InvalidScalar("vector contains NaN or infinity")
+        arr.flags.writeable = False
+        v = cls.__new__(cls)
+        v._data, v.num, v.den, v.field, v.n = arr, None, None, F64, arr.shape[0]
         return v
 
     @property
@@ -139,7 +156,7 @@ class Vector:
         return self._data
 
     def __len__(self):
-        return len(self.num if self.field == EXACT else self._data)
+        return self.n
 
     def __getitem__(self, i):
         return self.data[i]
@@ -324,9 +341,8 @@ def _lane(a, v):
     """Backend shared by a (vector or matrix) and vector v; sizes must agree."""
     if a.field != v.field:
         raise DimensionError("mixed scalar backends in one operation")
-    size = a.n if isinstance(a, SymmetricMatrix) else len(a)
-    if size != len(v):
-        raise DimensionError("size %d vs length %d" % (size, len(v)))
+    if a.n != v.n:
+        raise DimensionError("size %d vs length %d" % (a.n, v.n))
     return a.field
 
 
@@ -347,7 +363,7 @@ def vsub(u, v):
 
 def vscale(c, v):
     if v.field == F64:
-        return Vector(float(c) * v._data, F64)
+        return Vector._f64(float(c) * v._data)
     # With c = p/q, gcd(q den, p num) = gcd(p, den) gcd(q, *num), since p/q
     # and num/den are each in lowest terms.
     c = Fraction(c)
@@ -364,7 +380,7 @@ def add_scaled(u, c, v):
     lcm(u.den, q v.den) and the sum is reduced once.
     """
     if _lane(u, v) == F64:
-        return Vector(u._data + float(c) * v._data, F64)
+        return Vector._f64(u._data + float(c) * v._data)
     c = Fraction(c)
     vden = c.denominator * v.den
     den = math.lcm(u.den, vden)
@@ -378,7 +394,7 @@ def add_to_entry(v, index, delta):
     if v.field == F64:
         arr = v._data.copy()
         arr[index] += demote(delta)
-        return Vector(arr, F64)
+        return Vector._f64(arr)
     delta = Fraction(delta)
     den = math.lcm(v.den, delta.denominator)
     num = v.num * (den // v.den)
@@ -397,24 +413,22 @@ def matvec(A, v):
     Exact: the rows of A's numerators are summed against v's in ints,
     and the sums over A.den * v.den are reduced once, as a vector.  An
     f64 matrix with all n^2 entries stored is, in CSR, its row-major
-    square, so BLAS multiplies its data as it lies.
+    square, so BLAS multiplies its data as it lies; any other sums all
+    its products in one ``reduceat``.
     """
-    field = _lane(A, v)
-    if field == F64 and A.data.size == A.n * A.n:
-        return Vector(A.data.reshape(A.n, A.n) @ v._data, F64)
-    x = v._data if field == F64 else v.num
-    step = _BLOCK if field == EXACT else A.data.size
-    # A block ends before the first row that starts at a multiple of step or later.
-    cuts = sorted({0, A.n, *np.searchsorted(A.indptr, range(step, A.data.size, step)).tolist()})
+    if _lane(A, v) == F64:
+        if A.data.size == A.n * A.n:
+            return Vector._f64(A.data.reshape(A.n, A.n) @ v._data)
+        return Vector._f64(np.add.reduceat(A.data * v._data[A.indices], A.indptr[:-1]))
+    # A block ends before the first row that starts at a multiple of _BLOCK or later.
+    ends = np.searchsorted(A.indptr, range(_BLOCK, A.data.size, _BLOCK)).tolist()
+    cuts = sorted({0, A.n, *ends})
     sums = []
     for r0, r1 in zip(cuts, cuts[1:]):
         lo, hi = A.indptr[r0], A.indptr[r1]
-        products = A.data[lo:hi] * x[A.indices[lo:hi]]
+        products = A.data[lo:hi] * v.num[A.indices[lo:hi]]
         sums.append(np.add.reduceat(products, A.indptr[r0:r1] - lo))
-    sums = np.concatenate(sums)
-    if field == EXACT:
-        return Vector._ints(sums, A.den * v.den)
-    return Vector(sums, field)
+    return Vector._ints(np.concatenate(sums), A.den * v.den)
 
 
 def small_solve(abar, rbar, field):
@@ -743,7 +757,7 @@ def write_matrix(A, path):
     if A.field != EXACT:
         raise ExactRequired("matrix files store exact rationals")
     if A.kind == DIAGONAL:
-        lines = ["diagonal %d" % A.n] + [str(q) for q in A._values()]
+        lines = ["diagonal %d" % A.n] + [_literal(e, A.den) for e in A.data.tolist()]
     else:
         lines = ["symmetric %d" % A.n]
         indices, data = A.indices.tolist(), A.data.tolist()
@@ -752,7 +766,7 @@ def write_matrix(A, path):
             for k in range(A.indptr[i], A.indptr[i + 1]):
                 if indices[k] > i:
                     break
-                row[indices[k]] = str(Fraction(data[k], A.den))
+                row[indices[k]] = _literal(data[k], A.den)
             lines.append(" ".join(row))
     write_text(path, "\n".join(lines) + "\n")
 
@@ -766,36 +780,99 @@ def write_vector(v, path):
     write_text(path, "\n".join(lines) + "\n")
 
 
+def _literal(num, den):
+    """num / den in lowest terms, written as ``str(Fraction(num, den))`` writes it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else "%d/%d" % (num // g, den // g)
+
+
 @any_size
 def read_matrix(path):
     """A native matrix file, or a Matrix Market one when its text starts with the banner.
 
-    A native file's literals go straight to int numerators over their
-    common denominator (``_literal_numerators``).
+    A native file's tokens are those of ``str.split()``, and its
+    literals go straight to int numerators over their common
+    denominator (``_literal_numerators``).  The literal ``0`` (most of
+    a sparse matrix's packed triangle) is counted but never made a
+    string (``_sparse_words``).
     """
     text = read_text(path)
     if text.startswith("%%MatrixMarket"):
         lines = text.splitlines()
         del text
         return _parse_matrix_market(lines)
-    tokens = text.split()
+    if not text.isascii():
+        # One space for every separator, so ASCII bytes mark them all.
+        text = " ".join(text.split())
+    buf = bytearray(text, "utf-8")
     del text
-    if len(tokens) < 2 or tokens[0] not in ("symmetric", "diagonal"):
+    count, words, index = _sparse_words(buf)
+    del buf
+    if count < 2 or words[0] not in ("symmetric", "diagonal"):
         raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
-    symmetric, n = tokens[0] == "symmetric", _parse_count(tokens[1])
-    del tokens[:2]
+    symmetric, n = words[0] == "symmetric", _parse_count(words[1])
     want = n * (n + 1) // 2 if symmetric else n
-    if len(tokens) != want:
-        raise FormatError("expected %d entries, found %d" % (want, len(tokens)))
-    nums, den = _literal_numerators(tokens)
-    kept = np.flatnonzero(np.fromiter(map(nums.__getitem__, tokens), bool, len(tokens)))
+    if count - 2 != want:
+        raise FormatError("expected %d entries, found %d" % (want, count - 2))
+    del words[:2]
+    nums, den = _literal_numerators(words)
+    values = np.empty(len(words), dtype=object)
+    values[:] = list(map(nums.__getitem__, words))
+    nonzero = values != 0
+    kept = index[2:][nonzero] - 2
     rows = cols = kept
     if symmetric:
         rows = np.searchsorted(np.cumsum(np.arange(n)), kept, side="right") - 1
         cols = kept - rows * (rows + 1) // 2
-    data = np.empty(kept.size, dtype=object)
-    data[:] = [nums[tokens[k]] for k in kept.tolist()]
-    return SymmetricMatrix._ints(n, rows, cols, data, den)
+    return SymmetricMatrix._ints(n, rows, cols, values[nonzero], den)
+
+
+# 1 for each byte that str.split() separates at in ASCII text, else 0.
+_SPACE = bytes(c in b" \t\n\v\f\r\x1c\x1d\x1e\x1f" for c in range(256))
+# The number of set bits of each byte.
+_ONES = np.array([bin(c).count("1") for c in range(256)], dtype=np.uint8)
+
+
+def _sparse_words(buf):
+    """(count, words, index): buf's tokens less every lone ``0`` after the first two.
+
+    buf is UTF-8 text whose separators are all ASCII; count is the
+    number of its ``str.split()`` tokens, words the tokens kept (in
+    order) and index each one's token number.  The tokens are found in
+    1-byte masks over buf, and the lone ``0``s are blanked in buf
+    itself, so one split yields the words; only the words get int
+    arrays.
+    """
+    b = np.frombuffer(buf, dtype=np.uint8)
+    space = np.frombuffer(buf.translate(_SPACE), dtype=bool)
+    starts = np.empty(b.size, dtype=bool)  # a token starts at this byte
+    starts[:1] = ~space[:1]
+    np.less(space[1:], space[:-1], out=starts[1:])
+    count = int(np.count_nonzero(starts))
+    zero = b == ord("0")  # a lone 0: a token 0 followed by a separator or the end
+    zero &= starts
+    zero[:-1] &= space[1:]
+    del space
+    if count >= 2:  # the header is kept
+        first = int(starts.argmax())
+        zero[:first + 2 + int(starts[first + 1:].argmax())] = False
+    packed = np.packbits(starts)
+    # Every lone 0 starts a token, so what is left of starts marks the words.
+    np.logical_xor(starts, zero, out=starts)
+    at = np.flatnonzero(starts)
+    del starts
+    # Blank the lone 0s: ord("0") - 16 == ord(" ").
+    zero = zero.view(np.uint8)
+    zero *= 16
+    b -= zero
+    del zero, b
+    # A word's token number counts the starts before it: over the whole
+    # bytes of packed, then in its own byte, whose first flag is the highest bit.
+    before = np.zeros(packed.size + 1, dtype=np.intp)
+    np.cumsum(_ONES.take(packed), out=before[1:])
+    byte = at >> 3
+    index = before[byte] + _ONES.take(packed[byte] >> (8 - (at & 7)))
+    return count, buf.decode().split(), index
 
 
 @any_size

@@ -115,9 +115,9 @@ class SolverConfig:
                 "%s ignores the generator; generator must be %r"
                 % (self.method, GEN_RESIDUAL_INCREMENT)
             )
-        if self.refresh_k is not None and self.refresh_k < 1:
+        if self.refresh_k is not None and not self.refresh_k >= 1:  # NaN too
             raise ValueError("refresh_k must be >= 1")
-        if self.max_steps is not None and self.max_steps < 1:
+        if self.max_steps is not None and not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
 
     def resolved(self, field, n):
@@ -140,7 +140,9 @@ class SolverState:
     beta caches A p for the methods that carry it (irm-cg, irm); cg
     recomputes A p each step and leaves beta as None until a converged
     state, where p and beta are zero for every method.  refreshed tells
-    whether this state's residual came from full recomputation.
+    whether this state's residual came from full recomputation.  rr is
+    r . r as ``init`` or the step that made r formed it (None on a state
+    built without it).
     """
 
     i: int
@@ -151,6 +153,7 @@ class SolverState:
     rr0: object
     converged: bool = False
     refreshed: bool = True
+    rr: object = None
 
 
 @dataclass(frozen=True)
@@ -203,13 +206,13 @@ def init(A, b, x0, budget=BitBudget()):
     n, field = A.n, A.field
     if rr0 == 0:
         zero = Vector.zeros(n, field)
-        return SolverState(0, x0, r0, zero, zero, rr0, converged=True)
+        return SolverState(0, x0, r0, zero, zero, rr0, converged=True, rr=rr0)
     Ar0 = matvec(A, r0)
     rAr = dot(r0, Ar0)
     if rAr <= 0:
         raise NumericalBreakdown("r0.A r0 = %r with a nonzero residual" % rAr)
     q = rr0 / rAr
-    return SolverState(0, x0, r0, vscale(q, r0), vscale(q, Ar0), rr0)
+    return SolverState(0, x0, r0, vscale(q, r0), vscale(q, Ar0), rr0, rr=rr0)
 
 
 def _advance_x_r(state, A, b, cfg, step, image):
@@ -224,10 +227,11 @@ def _advance_x_r(state, A, b, cfg, step, image):
     return x1, r1, refreshed
 
 
-def _converged_state(state, x1, r1, refreshed):
+def _converged_state(state, x1, r1, refreshed, rr):
     zero = Vector.zeros(len(x1), x1.field)
     return SolverState(
-        state.i + 1, x1, r1, zero, zero, state.rr0, converged=True, refreshed=refreshed
+        state.i + 1, x1, r1, zero, zero, state.rr0,
+        converged=True, refreshed=refreshed, rr=rr,
     )
 
 
@@ -269,11 +273,12 @@ def cg_step(state, A, b, cfg):
         raise NumericalBreakdown("p.A p = 0 while the residual is nonzero")
     al = dot(state.p, state.r) / pAp
     x1, r1, refreshed = _advance_x_r(state, A, b, cfg, al, Ap)
-    if dot(r1, r1) == 0:
-        return _converged_state(state, x1, r1, refreshed)
+    rr = dot(r1, r1)
+    if rr == 0:
+        return _converged_state(state, x1, r1, refreshed, rr)
     be = -dot(r1, Ap) / pAp
     p1 = add_scaled(r1, be, state.p)
-    new = SolverState(state.i + 1, x1, r1, p1, None, state.rr0, refreshed=refreshed)
+    new = SolverState(state.i + 1, x1, r1, p1, None, state.rr0, refreshed=refreshed, rr=rr)
     _check_budget(new, cfg)
     return new
 
@@ -315,7 +320,7 @@ def irm_step(state, A, b, cfg):
     x1, r1, refreshed = _advance_x_r(state, A, b, cfg, cfg.omega, state.beta)
     rr = dot(r1, r1)
     if rr == 0:
-        return _converged_state(state, x1, r1, refreshed)
+        return _converged_state(state, x1, r1, refreshed, rr)
     if cfg.method == IRM_CG:
         phi, images = [r1, state.p], [matvec(A, r1), state.beta]
     else:
@@ -336,7 +341,7 @@ def irm_step(state, A, b, cfg):
         if cfg.method == IRM_CG:
             raise NumericalBreakdown("r.A r vanished with a nonzero residual")
         raise GeneratorError("all generated vectors were dependent or zero")
-    new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed)
+    new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed, rr=rr)
     _check_budget(new, cfg)
     return new
 
@@ -402,15 +407,15 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
     hit0 = _apply_perturbations(state, A, perturbations, 0)
     threshold = rcfg.epsilon * rcfg.epsilon * state.rr0
 
-    def record_of(st, rr, hit):
-        # Every exact state's r is exactly b - A x, so its energy needs no matvec.
+    def record_of(st, hit):
+        # Every exact state's r is exactly b - A x, so its energy needs no
+        # matvec; perturbations leave r, and so st.rr, as the step made them.
         e = energy(A, b, st.x, st.r) if rcfg.record_energy else None
-        return StepRecord(st.i, rr, e, st.refreshed, hit)
+        return StepRecord(st.i, st.rr, e, st.refreshed, hit)
 
-    records = [record_of(state, state.rr0, hit0)]
-    rr = state.rr0
+    records = [record_of(state, hit0)]
     while True:
-        if rr <= threshold:
+        if state.rr <= threshold:
             termination = CONVERGED
             break
         if state.i >= rcfg.max_steps:
@@ -425,6 +430,5 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
         hit = _apply_perturbations(state, A, perturbations, state.i)
         if observer is not None:
             observer(previous, state)
-        rr = dot(state.r, state.r)
-        records.append(record_of(state, rr, hit))
+        records.append(record_of(state, hit))
     return state.x, trace_for(termination, records)

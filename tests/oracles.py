@@ -2,10 +2,18 @@
 
 Everything here works on plain lists of Fractions and deliberately
 avoids the package's own matvec, elimination, and energy code paths.
+``split_read_matrix`` reads a native matrix file one ``str.split()``
+token at a time, the reference for ``linalg.read_matrix``.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from irmcg import linalg
+from irmcg.arithmetic import any_size
+from irmcg.errors import FormatError
 
 
 def unpack(A):
@@ -123,3 +131,29 @@ def binary_expansion(x):
 
 def active_count(diag_entries, b_entries):
     return len({d for d, be in zip(diag_entries, b_entries) if be != 0})
+
+
+@any_size
+def split_read_matrix(path):
+    """A native matrix file read token by token from ``str.split()``.
+
+    The reference for ``linalg.read_matrix``: every token, each literal
+    0 included, is made a string and looked up.
+    """
+    tokens = linalg.read_text(path).split()
+    if len(tokens) < 2 or tokens[0] not in ("symmetric", "diagonal"):
+        raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
+    symmetric, n = tokens[0] == "symmetric", linalg._parse_count(tokens[1])
+    del tokens[:2]
+    want = n * (n + 1) // 2 if symmetric else n
+    if len(tokens) != want:
+        raise FormatError("expected %d entries, found %d" % (want, len(tokens)))
+    nums, den = linalg._literal_numerators(tokens)
+    kept = np.flatnonzero(np.fromiter(map(nums.__getitem__, tokens), bool, len(tokens)))
+    rows = cols = kept
+    if symmetric:
+        rows = np.searchsorted(np.cumsum(np.arange(n)), kept, side="right") - 1
+        cols = kept - rows * (rows + 1) // 2
+    data = np.empty(kept.size, dtype=object)
+    data[:] = [nums[tokens[k]] for k in kept.tolist()]
+    return linalg.SymmetricMatrix._ints(n, rows, cols, data, den)

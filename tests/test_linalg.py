@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -164,6 +165,56 @@ def test_lanes_agree_bit_for_bit(op):
     else:
         assert type(exact) is F and type(f64) is float
         assert demote(exact).hex() == f64.hex()
+
+
+# f64 results are wrapped without a copy: each route that makes one.  The
+# CSR matrix stores a pair fewer than its square; the BLAS one stores all n^2.
+def _f64_routes():
+    csr = SymmetricMatrix.dense([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]], 3, F64)
+    blas = SymmetricMatrix.dense([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]], 3, F64)
+    assert csr.data.size == 7 and blas.data.size == 9
+    return {
+        "add_scaled": lambda u, v: add_scaled(u, 3, v),
+        "vadd": vadd,
+        "vsub": vsub,
+        "vscale": lambda u, v: vscale(10, v),
+        "add_to_entry": lambda u, v: add_to_entry(u, 0, 0.5),
+        "matvec-csr": lambda u, v: matvec(csr, v),
+        "matvec-blas": lambda u, v: matvec(blas, v),
+    }
+
+
+class TestF64Results:
+    @pytest.mark.parametrize("route", sorted(_f64_routes()))
+    def test_read_only_and_not_sharing_inputs(self, route):
+        u, v = Vector.f64([1.0, -2.0, 0.5]), Vector.f64([0.25, 4.0, -1.0])
+        out = _f64_routes()[route](u, v)
+        assert out.field == F64 and len(out) == 3 and out.data.dtype == np.float64
+        assert not out.data.flags.writeable
+        assert not any(np.shares_memory(out.data, w.data) for w in (u, v))
+        assert out == Vector.f64(out.data.tolist())
+
+    @pytest.mark.parametrize("route", ["add_scaled", "vadd", "vscale", "matvec-csr",
+                                       "matvec-blas"])
+    def test_overflow_is_invalid_scalar(self, route):
+        huge = Vector.f64([1e308, 1e308, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(InvalidScalar) as exc:
+            _f64_routes()[route](huge, huge)
+        assert str(exc.value) == "vector contains NaN or infinity"
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])  # reduceat, BLAS
+    def test_nan_is_invalid_scalar(self, c):
+        # Row 0 sums 1e309 and -1e309: inf - inf, a NaN.
+        A = SymmetricMatrix.dense([[1e308, -1e308, c], [-1e308, 1e308, c], [c, c, 1.0]], 3, F64)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidScalar) as exc:
+            matvec(A, Vector.f64([10.0, 10.0, 1.0]))
+        assert str(exc.value) == "vector contains NaN or infinity"
+
+    def test_public_constructor_still_copies(self):
+        arr = np.array([1.0, 2.0])
+        v = Vector.f64(arr)
+        arr[0] = 5.0
+        assert v.data[0] == 1.0 and arr.flags.writeable
 
 
 # Small, zero, or over 4096 bits, over unrelated denominators.
@@ -919,6 +970,129 @@ class TestFiles:
         A = SymmetricMatrix.diagonal([1.0, 2.0], F64)
         with pytest.raises(ExactRequired):
             write_matrix(A, tmp_path / "A.txt")
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(rationals, min_size=6, max_size=6))
+    def test_written_literals_are_those_of_str(self, tmp_path, values):
+        # Each entry is written as str(Fraction) writes it: p, or p/q in lowest terms.
+        path = tmp_path / "out.txt"
+        for obj, head in ((SymmetricMatrix.dense(values, 3), "symmetric 3"),
+                          (SymmetricMatrix.diagonal(values), "diagonal 6"),
+                          (Vector.exact(values), "vector 6")):
+            if isinstance(obj, Vector):
+                write_vector(obj, path)
+            else:
+                write_matrix(obj, path)
+            head_line, *rows = path.read_text().splitlines()
+            want = values
+            if head == "symmetric 3" and not any(values[k] for k in (1, 3, 4)):
+                head, want = "diagonal 3", values[0::2][:2] + values[5:]
+            assert head_line == head
+            assert " ".join(rows).split() == [str(q) for q in want]
+
+
+# Every separator str.split() knows, the ASCII control ones included.
+SEPARATORS = [" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+              "\x85", "\u00a0", "\u2003", "\u3000", " \r\n "]
+ZERO_SPELLINGS = ["-0", "+0", "00", "0/7"]
+NUMBERS = ["1", "-3/4", "12", "2/4", "+5"]
+# Bad literals, some with bytes that are not separators (NUL, SOH) or not ASCII.
+BAD_LITERALS = ["zz", "0.5", "1/0", "0\x00", "\x010", "\u00bd", "\u0663", "0\u00e9", "0/"]
+
+
+@st.composite
+def packed_texts(draw):
+    """Text of a native matrix file, mostly 0s, sometimes malformed."""
+    kind = draw(st.sampled_from(["symmetric", "diagonal"]))
+    n = draw(st.integers(1, 8))
+    count = n * (n + 1) // 2 if kind == "symmetric" else n
+    count += draw(st.sampled_from([0] * 6 + [-1, 1]))
+    words = draw(st.lists(st.sampled_from(["0"] * 12 + ZERO_SPELLINGS + NUMBERS),
+                          min_size=count, max_size=count))
+    if words and draw(st.integers(0, 3)) == 0:
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(BAD_LITERALS))
+    size = draw(st.sampled_from([str(n)] * 6 + ["0", "x", "-1", chr(0xFF10 + n)]))
+    words = draw(st.sampled_from([[]] * 6 + [["0"]])) + [kind, size] + words
+    seps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words) - 1,
+                         max_size=len(words) - 1))
+    edges = st.sampled_from(["", "", "\n", "\x1f", "\u00a0\u2003"])
+    return draw(edges) + "".join(w + s for w, s in zip(words, seps + [""])) + draw(edges)
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: the matrix's arrays, or its error."""
+    try:
+        A = reader(path)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return A.n, A.field, A.den, A.data.tolist(), A.indptr.tolist(), A.indices.tolist()
+
+
+class TestNativeReader:
+    """read_matrix against the reader that makes every token a string."""
+
+    @staticmethod
+    def both(tmp_path, text):
+        path = tmp_path / "A.txt"
+        path.write_text(text, encoding="utf-8")
+        got, want = _outcome(read_matrix, path), _outcome(oracles.split_read_matrix, path)
+        assert got == want
+        return got
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=packed_texts())
+    def test_matches_the_split_reader(self, tmp_path, text):
+        self.both(tmp_path, text)
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("0 symmetric 1 1", "must start with"),  # a 0 before the header is its first token
+        ("symmetric 0 1", "count must be positive, got 0"),
+        ("symmetric", "must start with"),
+        (" \n\x1c ", "must start with"),
+        ("", "must start with"),
+        ("symmetric 2 0 0 1 0", "expected 3 entries, found 4"),
+        ("diagonal 2 0", "expected 2 entries, found 1"),
+        ("symmetric 3 " + "0 " * 5 + "zz", "not a rational literal: 'zz'"),
+        ("symmetric 2 0 0\x000 0", "not a rational literal: '0\\x000'"),
+        ("symmetric 2\u00a00\u20030\u3000\u00bd", "not a rational literal: '\u00bd'"),
+        ("symmetric 2 0 0 0/0", "zero denominator in '0/0'"),
+        ("symmetric\x1c2\x1d1\x1e0\x1f4", [1, 4]),
+        ("diagonal \uff13 0 -0 7", [7]),  # int() reads a full-width 3
+        ("symmetric 3\n00\n+0 0/7\n-0 0 3/9", [F(1, 3)]),
+        ("symmetric 1 0", [0]),
+    ])
+    def test_edge_cases(self, tmp_path, text, outcome):
+        got = self.both(tmp_path, text)
+        if isinstance(outcome, str):
+            assert got[0] is FormatError and outcome in got[1]
+        else:
+            A = read_matrix(tmp_path / "A.txt")
+            assert [F(e, A.den) for e in A.data if e] == [F(e) for e in outcome if e]
+
+    def test_benchmark_sized_chain(self, tmp_path):
+        A = gen_spring_chain(300, [1 + i % 3 for i in range(301)])
+        path = tmp_path / "A.txt"
+        write_matrix(A, path)
+        assert read_matrix(path) == oracles.split_read_matrix(path) == A
+
+    def test_memory_is_bounded_by_the_file(self, tmp_path):
+        # The n=1000 chain's packed triangle is 500,500 tokens, all but
+        # 1,999 of them 0.  No array of ints per token may be made.
+        A = gen_spring_chain(1000, [1 + i % 3 for i in range(1001)])
+        path = tmp_path / "A.txt"
+        write_matrix(A, path)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            B = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert B == A
+        assert peak <= 5 * path.stat().st_size
 
 
 class TestMatrixMarket:

@@ -123,6 +123,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(refresh_k=0)
 
+    @pytest.mark.parametrize("name", ["max_steps", "refresh_k"])
+    def test_nan_counts(self, name):
+        # i >= NaN and i % NaN == 0 never hold: no cap, no refresh.
+        with pytest.raises(ValueError, match="^%s must be >= 1$" % name):
+            SolverConfig(**{name: float("nan")})
+
     def test_resolved_defaults(self):
         r = SolverConfig().resolved(EXACT, 7)
         assert r.max_steps == 700
@@ -575,6 +581,26 @@ class TestEnergyColumn:
         # Four distinct eigenvalues: four steps.
         assert trace.termination == CONVERGED and trace.steps == 4
         assert formed[0] == formed[1] > 0
+
+
+@pytest.mark.parametrize("field", [EXACT, F64])
+@pytest.mark.parametrize("method, generator, omega", [
+    (CG, GEN_RESIDUAL_INCREMENT, 1), (IRM_CG, GEN_RESIDUAL_INCREMENT, F(1, 2)),
+    (IRM, GEN_RESIDUAL_INCREMENT, F(3, 2)), (IRM, GEN_JACOBI, 1),
+])
+def test_each_state_carries_its_rr(field, method, generator, omega):
+    # The step forms r.r; solve records it after the perturbations, which leave r alone.
+    A, b = TestEnergyColumn.rotated()
+    if field == F64:
+        A, b = demote_matrix(A), demote_vector(b)
+    states = []
+    cfg = SolverConfig(method=method, generator=generator, omega=omega, max_steps=4)
+    _, trace = solve(A, b, cfg=cfg, perturbations=(Perturbation(2, 3, F(-5, 7)),),
+                     observer=lambda _, new: states.append(new))
+    assert len(states) == trace.steps >= 4 and trace.records[2].perturbed
+    for state, rec in zip(states, trace.records[1:]):
+        assert state.rr == rec.rr == dot(state.r, state.r)
+        assert type(rec.rr) is (F if field == EXACT else float)
 
 
 class TestPerturbation:
