@@ -172,13 +172,7 @@ def relative_norms(t):
     rr0 = t.records[0].rr
     if rr0 == 0:
         raise ZeroInitialResidual("r0 = 0; relative norms undefined")
-    out = [1.0]
-    for rec in t.records[1:]:
-        if t.field == EXACT:
-            out.append(math.sqrt(demote(rec.rr / rr0)))
-        else:
-            out.append(math.sqrt(rec.rr / rr0))
-    return out
+    return [1.0] + [math.sqrt(demote(rec.rr / rr0)) for rec in t.records[1:]]
 
 
 def count_active(D, b):
@@ -209,10 +203,6 @@ class ComparisonReport:
     gap: float
 
 
-def _config_scalar(value, arith):
-    return demote(value) if arith == E_TAG else float(value)
-
-
 def compare(tE, tDP, gap=1.0):
     """Pair two traces of one configuration and locate their divergence.
 
@@ -228,8 +218,7 @@ def compare(tE, tDP, gap=1.0):
     if tE.method != tDP.method:
         raise IncomparableTraces("method %r vs %r" % (tE.method, tDP.method))
     for name in ("omega", "epsilon"):
-        a = _config_scalar(getattr(tE, name), tE.arith)
-        b = _config_scalar(getattr(tDP, name), tDP.arith)
+        a, b = demote(getattr(tE, name)), demote(getattr(tDP, name))
         if a != b:
             raise IncomparableTraces("%s %r vs %r" % (name, a, b))
     normsE = relative_norms(tE)
@@ -350,15 +339,20 @@ def parse_csv(source):
         cells = line.split(",")
         if len(cells) != 5:
             raise FormatError("expected 5 fields, got %r" % line)
-        records.append(
-            StepRecord(
-                i=int(cells[0]),
-                rr=_parse_scalar(cells[1], arith),
-                energy=_parse_scalar(cells[2], arith),
-                refreshed=cells[3] == "1",
-                perturbed=cells[4] == "1",
+        if not cells[1]:
+            raise FormatError("bad row %r: rr is empty" % line)
+        try:
+            records.append(
+                StepRecord(
+                    i=int(cells[0]),
+                    rr=_parse_scalar(cells[1], arith),
+                    energy=_parse_scalar(cells[2], arith),
+                    refreshed=cells[3] == "1",
+                    perturbed=cells[4] == "1",
+                )
             )
-        )
+        except ValueError as exc:
+            raise FormatError("bad row %r: %s" % (line, exc)) from None
     try:
         return ConvergenceTrace(
             method=meta["method"],

@@ -35,7 +35,6 @@ F64 = "f64"
 SCALAR = {EXACT: Fraction, F64: float}
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 

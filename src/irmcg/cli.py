@@ -3,8 +3,8 @@
 Subcommands: ``gen`` fabricates benchmark systems, ``solve`` runs a
 method under either arithmetic and writes the trace CSV, ``compare``
 pairs two traces, ``active`` counts the active eigenvalues of a
-diagonal system.  Every invocation is captured as a RunManifest, and
-re-running a manifest reproduces the output byte for byte.
+diagonal system.  Rerunning an invocation reproduces its output byte
+for byte.
 
 Exit codes: 0 solved, 1 step limit hit without convergence, 2 usage or
 malformed input, 3 matrix not SPD, 4 bit budget exceeded, 5 traces not
@@ -13,10 +13,8 @@ or a generator with no usable vectors).
 """
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import benchgen
 from .analysis import (
@@ -68,43 +66,16 @@ EXIT_BUDGET = 4
 EXIT_INCOMPARABLE = 5
 EXIT_NUMERICAL = 6
 
-_USAGE_ERRORS = (
-    FormatError,
-    IoError,
-    DimensionError,
-    ExactRequired,
-    InvalidRotation,
-    InvalidStiffness,
-    DiagonalRequired,
-    ZeroInitialResidual,
-    ValueError,
+# Each handled error's exit code: the first row whose types match.
+_EXIT_CODES = (
+    ((NotSPD,), EXIT_NOT_SPD),
+    ((BudgetExceeded,), EXIT_BUDGET),
+    ((IncomparableTraces,), EXIT_INCOMPARABLE),
+    ((InvalidScalar, ScalarOverflow, NumericalBreakdown, GeneratorError), EXIT_NUMERICAL),
+    ((FormatError, IoError, DimensionError, ExactRequired, InvalidRotation,
+      InvalidStiffness, DiagonalRequired, ZeroInitialResidual, ValueError), EXIT_USAGE),
 )
-
-_NUMERICAL_ERRORS = (
-    InvalidScalar,
-    ScalarOverflow,
-    NumericalBreakdown,
-    GeneratorError,
-)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """A fully serialized invocation; the unit of reproducibility."""
-
-    subcommand: str
-    options: dict
-
-    def to_json(self):
-        return json.dumps(
-            {"subcommand": self.subcommand, "options": self.options},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(subcommand=data["subcommand"], options=dict(data["options"]))
+_HANDLED = tuple(t for types, _ in _EXIT_CODES for t in types)
 
 
 def _build_parser():
@@ -166,12 +137,6 @@ def _build_parser():
 _PARSER = _build_parser()
 
 
-def manifest_from_argv(argv):
-    ns = _PARSER.parse_args(argv)
-    options = {k: v for k, v in vars(ns).items() if k != "subcommand"}
-    return RunManifest(subcommand=ns.subcommand, options=options)
-
-
 def _parse_rhs_option(text, seed):
     """--rhs as the (rule, values, seed) that benchgen.rhs_entries takes."""
     if text == "ones":
@@ -184,43 +149,43 @@ def _parse_rhs_option(text, seed):
     raise FormatError("bad --rhs %r" % text)
 
 
-def _run_gen(opts, out):
-    sources = [opts["spectrum"], opts["spectrum_file"], opts["chain"]]
+def _run_gen(args):
+    sources = [args.spectrum, args.spectrum_file, args.chain]
     if sum(s is not None for s in sources) != 1:
         raise FormatError("give exactly one of --spectrum, --spectrum-file, --chain")
-    rhs = opts["rhs"]
-    if opts["spectrum_file"] is not None and rhs is not None:
+    rhs = args.rhs
+    if args.spectrum_file is not None and rhs is not None:
         raise FormatError(
             "--rhs does not apply to --spectrum-file: the file's rhs line sets the right-hand side"
         )
-    if opts["stiff"] is not None and opts["chain"] is None:
+    if args.stiff is not None and args.chain is None:
         raise FormatError("--stiff applies only to --chain")
-    if opts["chain"] is not None and opts["rotate"]:
+    if args.chain is not None and args.rotate:
         raise FormatError("--rotate does not apply to --chain: a spring chain is not rotated")
-    seed = opts["seed"]
+    seed = args.seed
     rule, values, rhs_seed = _parse_rhs_option("ones" if rhs is None else rhs, seed)
     m = None
-    if opts["chain"] is not None:
-        if not opts["stiff"]:
+    if args.chain is not None:
+        if not args.stiff:
             raise FormatError("--chain needs --stiff")
-        n = opts["chain"]
-        ks = [parse_decimal(t) for t in opts["stiff"].split(",")]
+        n = args.chain
+        ks = [parse_decimal(t) for t in args.stiff.split(",")]
         A = benchgen.gen_spring_chain(n, ks)
         b = Vector.exact(benchgen.rhs_entries(rule, values, rhs_seed, [True] * n))
     else:
-        if opts["spectrum"] is not None:
+        if args.spectrum is not None:
             spec = benchgen.parse_spectrum_inline(
-                opts["spectrum"], rhs_rule=rule, rhs_values=values, rhs_seed=rhs_seed
+                args.spectrum, rhs_rule=rule, rhs_values=values, rhs_seed=rhs_seed
             )
         else:
-            spec = benchgen.read_spectrum_file(opts["spectrum_file"])
-        rotations = opts["rotate"]
+            spec = benchgen.read_spectrum_file(args.spectrum_file)
+        rotations = args.rotate
         if rotations:
             plan = benchgen.random_plan(spec.n, rotations, seed)
             A, b, m = benchgen.gen_rotated(spec, plan)
         else:
             A, b, m = benchgen.gen_diagonal(spec)
-    outdir = opts["out"]
+    outdir = args.out
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -228,40 +193,36 @@ def _run_gen(opts, out):
     write_matrix(A, os.path.join(outdir, "A.txt"))
     write_vector(b, os.path.join(outdir, "b.txt"))
     if m is not None:
-        print("m=%d" % m, file=out)
+        print("m=%d" % m)
     return EXIT_OK
 
 
-def _run_solve(opts, out):
-    A = read_matrix(opts["matrix"])
-    b = read_vector(opts["vector"])
-    x0 = read_vector(opts["x0"]) if opts["x0"] else None
-    snap = opts["snap_zero"]
+def _run_solve(args):
+    A = read_matrix(args.matrix)
+    b = read_vector(args.vector)
+    x0 = read_vector(args.x0) if args.x0 else None
+    snap = args.snap_zero
     if snap is not None:
         threshold = parse_decimal(snap)
         A = snap_matrix(A, threshold)
         b = snap_vector(b, threshold)
-    if opts["arith"] == "f64":
+    if args.arith == "f64":
         A = demote_matrix(A)
         b = demote_vector(b)
         x0 = demote_vector(x0) if x0 is not None else None
-    perturbations = [_parse_perturbation(p) for p in opts["perturb"]]
+    perturbations = [_parse_perturbation(p) for p in args.perturb]
     cfg = SolverConfig(
-        method=opts["method"],
-        omega=parse_decimal(opts["omega"]),
-        epsilon=parse_decimal(opts["eps"]),
-        refresh_k=opts["refresh_k"],
-        max_steps=opts["max_steps"],
-        generator=opts["generator"],
-        bit_budget=BitBudget(opts["max_bits"]),
-        record_energy=not opts["no_energy"],
+        method=args.method,
+        omega=parse_decimal(args.omega),
+        epsilon=parse_decimal(args.eps),
+        refresh_k=args.refresh_k,
+        max_steps=args.max_steps,
+        generator=args.generator,
+        bit_budget=BitBudget(args.max_bits),
+        record_energy=not args.no_energy,
     )
-    _, trace = solve(A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=opts["seed"])
-    destination = opts["out"]
-    if destination is None:
-        emit_csv(trace, out)
-    else:
-        emit_csv(trace, destination)
+    _, trace = solve(A, b, x0=x0, cfg=cfg, perturbations=perturbations, seed=args.seed)
+    emit_csv(trace, sys.stdout if args.out is None else args.out)
     if trace.termination == BUDGET_EXCEEDED:
         print("bit budget exceeded at step %d" % trace.steps, file=sys.stderr)
         return EXIT_BUDGET
@@ -284,18 +245,18 @@ def _parse_perturbation(text):
     return Perturbation(step, comp, parse_decimal(parts[2]))
 
 
-def _run_compare(opts, out):
-    tE = parse_csv(opts["trace_e"])
-    tDP = parse_csv(opts["trace_dp"])
-    report = compare(tE, tDP, gap=opts["gap"])
-    print(render_report(report), file=out)
+def _run_compare(args):
+    tE = parse_csv(args.trace_e)
+    tDP = parse_csv(args.trace_dp)
+    report = compare(tE, tDP, gap=args.gap)
+    print(render_report(report))
     return EXIT_OK
 
 
-def _run_active(opts, out):
-    D = read_matrix(opts["matrix"])
-    b = read_vector(opts["vector"])
-    print("m=%d" % count_active(D, b), file=out)
+def _run_active(args):
+    D = read_matrix(args.matrix)
+    b = read_vector(args.vector)
+    print("m=%d" % count_active(D, b))
     return EXIT_OK
 
 
@@ -307,34 +268,16 @@ _RUNNERS = {
 }
 
 
-def run_manifest(manifest, out=None):
-    """Execute a manifest; identical manifests produce identical bytes."""
-    out = sys.stdout if out is None else out
-    return _RUNNERS[manifest.subcommand](manifest.options, out)
-
-
 def main(argv=None):
     try:
-        manifest = manifest_from_argv(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return run_manifest(manifest)
-    except NotSPD as exc:
+        return _RUNNERS[args.subcommand](args)
+    except _HANDLED as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NOT_SPD
-    except BudgetExceeded as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_BUDGET
-    except IncomparableTraces as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INCOMPARABLE
-    except _NUMERICAL_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _USAGE_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

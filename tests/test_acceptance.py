@@ -5,6 +5,7 @@ criterion 5 sweeps every captured step of that corpus for the algebraic
 step invariants.  Each corpus is seeded, so the suite is deterministic.
 """
 
+import contextlib
 import io
 import random
 import time
@@ -25,7 +26,7 @@ from irmcg.benchgen import (
     gen_spring_chain,
     random_plan,
 )
-from irmcg.cli import EXIT_OK, main, manifest_from_argv, run_manifest
+from irmcg.cli import EXIT_OK, main
 from irmcg.errors import IncomparableTraces
 from irmcg.linalg import (
     SymmetricMatrix,
@@ -353,15 +354,15 @@ def test_criterion_8_omega_sweep_soundness():
 
 
 def test_criterion_9_determinism_round_trips(tmp_path):
-    # Manifest reruns are byte-identical.
+    # Reruns of one invocation are byte-identical.
     outdir = tmp_path / "sys"
     assert main(["gen", "--spectrum", "1x1,2x1,3x1", "-o", str(outdir)]) == EXIT_OK
-    manifest = manifest_from_argv(
-        ["solve", str(outdir / "A.txt"), str(outdir / "b.txt"), "--eps", "0"]
-    )
+    argv = ["solve", str(outdir / "A.txt"), str(outdir / "b.txt"), "--eps", "0"]
     first, second = io.StringIO(), io.StringIO()
-    assert run_manifest(manifest, out=first) == EXIT_OK
-    assert run_manifest(manifest, out=second) == EXIT_OK
+    with contextlib.redirect_stdout(first):
+        assert main(argv) == EXIT_OK
+    with contextlib.redirect_stdout(second):
+        assert main(argv) == EXIT_OK
     assert first.getvalue() == second.getvalue()
 
     # CSV parse/emit is the identity, in both directions.

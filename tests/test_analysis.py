@@ -331,6 +331,12 @@ class TestCsv:
         with pytest.raises(FormatError):
             parse_csv(io.StringIO("step,rr\n0,1\n"))
 
+    @pytest.mark.parametrize("row", ["x,1/1,,1,0", "0,-1/1,,1,0", "0,,,1,0"])
+    def test_malformed_row_rejected(self, row):
+        text = self.GOLDEN.split("0,3/1", 1)[0] + row + "\n"
+        with pytest.raises(FormatError, match="bad row"):
+            parse_csv(io.StringIO(text))
+
     def test_missing_preamble_key_rejected(self):
         text = self.GOLDEN.replace("# seed 0\n", "")
         with pytest.raises(FormatError):

@@ -14,10 +14,7 @@ from irmcg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunManifest,
     main,
-    manifest_from_argv,
-    run_manifest,
 )
 from irmcg.analysis import emit_csv, parse_csv
 from irmcg.linalg import SymmetricMatrix, read_matrix, read_vector, spd_check, write_vector
@@ -474,35 +471,24 @@ class TestActive:
 
 
 class TestManifest:
-    ARGV = [
-        "solve", "A.txt", "b.txt", "--method", "cg", "--arith", "f64",
-        "--eps", "1e-10", "--perturb", "1:7:1", "--seed", "3",
-    ]
-
-    def test_json_round_trip(self):
-        manifest = manifest_from_argv(self.ARGV)
-        assert RunManifest.from_json(manifest.to_json()) == manifest
+    """An invocation is its argv: running it again prints the same bytes."""
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         a_path, b_path, _ = gen_system(tmp_path, capsys, "--spectrum", "1x1,2x1,3x1")
-        manifest = manifest_from_argv(["solve", a_path, b_path, "--eps", "0"])
-        first, second = io.StringIO(), io.StringIO()
-        assert run_manifest(manifest, out=first) == EXIT_OK
-        assert run_manifest(manifest, out=second) == EXIT_OK
-        assert first.getvalue() == second.getvalue()
+        argv = ["solve", a_path, b_path, "--eps", "0"]
+        first, second = run(argv, capsys), run(argv, capsys)
+        assert first[0] == EXIT_OK
+        assert first == second
 
     def test_f64_rerun_is_byte_identical(self, tmp_path, capsys):
         a_path, b_path, _ = gen_system(
             tmp_path, capsys, "--spectrum", "1x3,7/2x2,90x3", "--rotate", "12", "--seed", "5"
         )
-        manifest = manifest_from_argv(
-            ["solve", a_path, b_path, "--arith", "f64", "--eps", "1e-12", "--method", "cg"]
-        )
-        first, second = io.StringIO(), io.StringIO()
-        assert run_manifest(manifest, out=first) == EXIT_OK
-        assert run_manifest(manifest, out=second) == EXIT_OK
-        assert "# arith DP" in first.getvalue()
-        assert first.getvalue() == second.getvalue()
+        argv = ["solve", a_path, b_path, "--arith", "f64", "--eps", "1e-12", "--method", "cg"]
+        first, second = run(argv, capsys), run(argv, capsys)
+        assert first[0] == EXIT_OK
+        assert "# arith DP" in first[1]
+        assert first == second
 
     def test_usage_exit_codes(self, capsys):
         assert run([], capsys)[0] == EXIT_USAGE

@@ -825,6 +825,14 @@ class TestConversions:
                 assert back.entry(i, j) == F(float(D.entry(i, j)))
         assert demote_matrix(back) == D
 
+    def test_conversions_do_not_carry_the_spd_verdict(self):
+        # Rounding to f64 makes this indefinite matrix pass the f64 gate.
+        A = rotated_near_singular(F(1, 2**60), F(1, 2**59), 9)
+        Af = demote_matrix(A)
+        assert spd_check(A) is False and spd_check(Af) is True
+        with pytest.raises(NotSPD):
+            linalg.ensure_spd(rationalize_matrix(Af))
+
     def test_demote_matrix_rounds_each_entry_as_demote(self):
         # 80-bit numerators over a small and over a huge common denominator
         # (rounding the numerator to a double first would be wrong), and
