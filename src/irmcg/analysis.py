@@ -272,6 +272,13 @@ def _parse_scalar(text, arith):
         raise FormatError("not a double literal: %r" % text) from None
 
 
+def _flag(cell):
+    """A refreshed or perturbed cell: emit_csv writes only 0 or 1."""
+    if cell not in ("0", "1"):
+        raise ValueError("flag must be 0 or 1, got %r" % cell)
+    return cell == "1"
+
+
 def emit_csv(t, destination):
     """Write a trace as CSV with a '#' preamble; byte-deterministic.
 
@@ -347,8 +354,8 @@ def parse_csv(source):
                     i=int(cells[0]),
                     rr=_parse_scalar(cells[1], arith),
                     energy=_parse_scalar(cells[2], arith),
-                    refreshed=cells[3] == "1",
-                    perturbed=cells[4] == "1",
+                    refreshed=_flag(cells[3]),
+                    perturbed=_flag(cells[4]),
                 )
             )
         except ValueError as exc:

@@ -18,13 +18,19 @@ by ``den`` directly.
 
 A symmetric matrix is stored as compressed sparse rows of its full
 pattern.  One matvec, ``np.add.reduceat(data * v[indices],
-indptr[:-1])``, serves both backends: exact rows are summed in ints
-and the sums over A.den * v.den reduced once; f64 sums each row's
-products in ``add.reduceat`` order, not BLAS order, except for a
-matrix with all n^2 entries stored, whose data is its row-major square
-and goes to BLAS.  Dense algorithms (the certificate and the f64
-check of the SPD gate, the eigenvalue estimate) work on the square
-that ``SymmetricMatrix.full`` returns.
+indptr[:-1])``, serves sparse matrices in both backends: exact rows are
+summed in ints and the sums over A.den * v.den reduced once; f64 sums
+each row's products in ``add.reduceat`` order, not BLAS order.  Both
+lanes send mostly stored matrices to BLAS, by two rules.  An exact
+matrix with at least a quarter of its n^2 entries stored multiplies
+its numerators split into 16-bit limbs, as float64 products whose every
+partial sum is an integer below 2^50, so exact in any order; the rows
+are put back together as ints and reduced over A.den * v.den as
+before.  An f64 matrix goes to BLAS only with all n^2 entries stored,
+when its data is its row-major square, so its sums keep their order
+otherwise.  Dense algorithms (the certificate and the f64 check of the
+SPD gate, the eigenvalue estimate) work on the square that
+``SymmetricMatrix.full`` returns.
 """
 
 import itertools
@@ -33,6 +39,7 @@ import operator
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .arithmetic import (
     EXACT,
@@ -200,10 +207,14 @@ class SymmetricMatrix:
     entries times ``den``, the least common denominator of the stored
     entries, so the entry at k is ``Fraction(data[k], den)``.  Equal
     matrices have equal arrays and equal ``den``.  The _spd slot caches
-    spd_check's outcome (None: unknown).
+    spd_check's outcome (None: unknown).  The _limbs slot keeps an exact
+    mostly stored matrix's numerators as the float64 square of 16-bit
+    limbs that its matvec multiplies (``_limb_square``, 8 la n^2 bytes
+    for la limbs an entry), built on the first matvec (None: not yet).
+    A converted matrix starts with neither.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "den", "field", "_spd")
+    __slots__ = ("n", "indptr", "indices", "data", "den", "field", "_spd", "_limbs")
 
     def __init__(self, n, rows, cols, values, field=EXACT):
         """Order-n matrix from lower-triangle coordinates, each given once; the rest is 0."""
@@ -254,7 +265,7 @@ class SymmetricMatrix:
         self.data = np.concatenate((vals[off], vals[off], diag))[order]
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
-        self.n, self.den, self.field, self._spd = n, den, field, None
+        self.n, self.den, self.field, self._spd, self._limbs = n, den, field, None, None
 
     @classmethod
     def diagonal(cls, entries, field=EXACT):
@@ -402,28 +413,48 @@ def add_to_entry(v, index, delta):
     return Vector._ints(num, den)
 
 
-# Most products one reduceat forms at a time in the exact lane (whole
-# rows, so a long row can exceed it).  They are ints as wide as A's
-# numerators plus v's, so forming all of them at once raises what a
-# matvec holds: on a rotated n=60 system (3478 stored entries) times a
-# 4096-bit iterate, a tracemalloc peak of 2.05 against 1.23 MiB, at
-# the same speed.
+# Most products one reduceat of the sparse exact route forms at a time
+# (whole rows, so a long row can exceed it).  The products are ints as
+# wide as A's numerators plus v's, so forming all of them at once holds
+# every one: 3478 stored entries times a 4096-bit iterate peaked at 2.05
+# MiB under tracemalloc, against 1.23 MiB in blocks, at the same speed.
 _BLOCK = 1024
+
+# The limb route (_limb_matvec): most of v's 16-bit limbs one float64
+# product takes; most products of two limbs one output limb of it may
+# sum; the offset that makes an accumulated int64 word nonnegative.
+_CHUNK = 64
+_TERMS = 1 << 18
+_OFFSET = 1 << 62
+
+
+def _mostly_stored(A):
+    """At least a quarter of A's n^2 entries are stored.
+
+    Then dense algorithms on A's square (LAPACK, BLAS) pay, and an f64
+    square takes at most twice the memory of the stored arrays.
+    """
+    return 4 * A.data.size >= A.n * A.n
 
 
 def matvec(A, v):
     """Product A v: each row's products, summed (both backends).
 
-    Exact: the rows of A's numerators are summed against v's in ints,
-    and the sums over A.den * v.den are reduced once, as a vector.  An
-    f64 matrix with all n^2 entries stored is, in CSR, its row-major
-    square, so BLAS multiplies its data as it lies; any other sums all
-    its products in one ``reduceat``.
+    Exact: A's numerators times v's, summed per row in ints, and the
+    sums over A.den * v.den reduced once, as a vector.  A mostly stored
+    matrix (``_mostly_stored``) multiplies its limbs in float64 BLAS
+    (``_limb_matvec``), with no rounding; a sparser one sums its int
+    products with ``reduceat``, in blocks of whole rows.  An f64 matrix
+    with all n^2 entries stored is, in CSR, its row-major square, so
+    BLAS multiplies its data as it lies; any other sums all its
+    products in one ``reduceat``.
     """
     if _lane(A, v) == F64:
         if A.data.size == A.n * A.n:
             return Vector._f64(A.data.reshape(A.n, A.n) @ v._data)
         return Vector._f64(np.add.reduceat(A.data * v._data[A.indices], A.indptr[:-1]))
+    if _mostly_stored(A):
+        return Vector._ints(_limb_matvec(A, v.num.tolist()), A.den * v.den)
     # A block ends before the first row that starts at a multiple of _BLOCK or later.
     ends = np.searchsorted(A.indptr, range(_BLOCK, A.data.size, _BLOCK)).tolist()
     cuts = sorted({0, A.n, *ends})
@@ -433,6 +464,97 @@ def matvec(A, v):
         products = A.data[lo:hi] * v.num[A.indices[lo:hi]]
         sums.append(np.add.reduceat(products, A.indptr[r0:r1] - lo))
     return Vector._ints(np.concatenate(sums), A.den * v.den)
+
+
+def _limb_matvec(A, values):
+    """A's numerators times the ints values, an object array of ints, by limbs.
+
+    Every int is split into 16-bit limbs (``_split_limbs``), la for
+    each of A's numerators, lv for each of the values, so a_ij v_j is
+    the sum of a_ijk v_jm 2^(16(k + m)).  Output limb t of row i, the sum of
+    a_ijk v_jm over j and k + m = t, is entry (i, t) of one product of
+    A's limb square (``_limb_square``, n x la n) and a Toeplitz
+    arrangement of v's limbs (la n x (la + c - 1)): windows of each
+    v_j's limbs, padded with la - 1 zeros on either side.  v's limbs go
+    c <= _CHUNK at a time, each chunk one product in float64 BLAS.
+
+    Why that is exact: a limb is at most 2^16 - 1 in magnitude, so each
+    product of two is below 2^32; one output limb of a chunk sums at
+    most n min(la, c) <= _TERMS = 2^18 of them, so every partial sum,
+    in any order, with or without fused multiply-adds, is an integer
+    below 2^50 and exact in binary64.  The chunks' output limbs add up
+    in int64, where each sums at most n min(la, lv) < 2^30 products (a
+    larger count needs a limb square of over 8 GiB), so stays below
+    2^62 in magnitude; 2^62 added to each makes it a nonnegative word.
+    Limbs t = r mod 4 lie 64 bits apart, so the words of each r are
+    read as one int per row, and a row is the four shifted by 16 r and
+    summed, less the offsets.
+    """
+    square = _limb_square(A)
+    n = A.n
+    la = square.shape[1] // n
+    lv = _limb_count(values)
+    chunk = min(_CHUNK, _TERMS // n)
+    assert 1 <= n * min(la, chunk) <= _TERMS and n * min(la, lv) < 1 << 30
+    limbs = _split_limbs(values, lv)
+    words = -(-(la + lv - 1) // 4)
+    acc = np.zeros((n, 4 * words), dtype="<i8")
+    for m in range(0, lv, chunk):
+        c = min(chunk, lv - m)
+        padded = np.zeros((n, c + 2 * (la - 1)))
+        padded[:, la - 1:la - 1 + c] = limbs[:, m:m + c]
+        toeplitz = sliding_window_view(padded, la + c - 1, axis=1).reshape(n * la, la + c - 1)
+        acc[:, m:m + la + c - 1] += (square @ toeplitz).astype(np.int64)
+    acc += _OFFSET
+    w = 8 * words
+    g0, g1, g2, g3 = (acc[:, r::4].tobytes() for r in range(4))
+    # The offsets of one row: _OFFSET in every word of every group.
+    offset = _OFFSET * ((1 << 64 * words) - 1) // ((1 << 64) - 1) * 0x0001000100010001
+    fb = int.from_bytes
+    out = np.empty(n, dtype=object)
+    out[:] = [
+        fb(g0[i:i + w], "little") + (fb(g1[i:i + w], "little") << 16)
+        + (fb(g2[i:i + w], "little") << 32) + (fb(g3[i:i + w], "little") << 48) - offset
+        for i in range(0, n * w, w)
+    ]
+    return out
+
+
+def _limb_square(A):
+    """A's numerators as limbs, an n x (la n) float64 array, built once and kept.
+
+    Entry (i, la j + la - 1 - k) is limb k of a_ij: each column's limbs
+    lie highest first, so that the windows ``_limb_matvec`` slides over
+    v's limbs meet them.  It takes 8 la n^2 bytes.
+    """
+    if A._limbs is None:
+        n = A.n
+        full = np.zeros((n, n), dtype=object)
+        full[A._rows(), A.indices] = A.data
+        values = full.ravel().tolist()
+        la = _limb_count(values)
+        square = _split_limbs(values, la)[:, ::-1].reshape(n, n * la)
+        square.flags.writeable = False
+        A._limbs = square
+    return A._limbs
+
+
+def _limb_count(values):
+    """16-bit limbs enough for every int of values in two's complement."""
+    return max(map(int.bit_length, values)) // 16 + 1
+
+
+def _split_limbs(values, count):
+    """(len(values), count) float64 array of the ints' 16-bit limbs, least first.
+
+    The limbs of ``int.to_bytes(2 count, signed=True)``: all but the top
+    one unsigned, 0 to 2^16 - 1, the top one signed, -2^15 to 2^15 - 1,
+    so x = sum_k limb_k 2^(16 k).
+    """
+    raw = b"".join(x.to_bytes(2 * count, "little", signed=True) for x in values)
+    out = np.frombuffer(raw, dtype="<u2").reshape(-1, count).astype(np.float64)
+    out[:, -1] = np.frombuffer(raw, dtype="<i2")[count - 1::count]
+    return out
 
 
 def small_solve(abar, rbar, field):
@@ -525,7 +647,7 @@ def spd_check(A, budget=BitBudget()):
     """
     if A.kind == DIAGONAL:
         ok = all(d > 0 for d in A.data)
-    elif A.field == F64 and 4 * A.data.size >= A.n * A.n:
+    elif A.field == F64 and _mostly_stored(A):
         ok = _cholesky_succeeds(A.full())
     else:
         ok = (A.field == EXACT and _spd_certificate(A)) or _spd_ldlt(A, budget)

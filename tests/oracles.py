@@ -60,6 +60,17 @@ def full_matvec(rows, vec):
     return [sum((row[j] * vec[j] for j in range(len(vec))), Fraction(0)) for row in rows]
 
 
+def int_matvec(A, num, den):
+    """(numerators, denominator) of A v for v = num / den, via full_matvec.
+
+    The product in the lowest terms as a whole: the denominator is the
+    lcm of the entries' own, as an exact ``Vector`` holds it.
+    """
+    out = full_matvec(unpack(A), [Fraction(e, den) for e in num])
+    d = math.lcm(*(q.denominator for q in out))
+    return [q.numerator * (d // q.denominator) for q in out], d
+
+
 def vdot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 

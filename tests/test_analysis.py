@@ -331,7 +331,11 @@ class TestCsv:
         with pytest.raises(FormatError):
             parse_csv(io.StringIO("step,rr\n0,1\n"))
 
-    @pytest.mark.parametrize("row", ["x,1/1,,1,0", "0,-1/1,,1,0", "0,,,1,0"])
+    @pytest.mark.parametrize("row", [
+        "x,1/1,,1,0", "0,-1/1,,1,0", "0,,,1,0",
+        # Flags are 0 or 1, as emit_csv writes them.
+        "2,0/1,-3/4,yes,0", "0,3/1,0/1,1,", "0,3/1,0/1,2,0", "0,3/1,0/1,1,true", "0,3/1,0/1, 1,0",
+    ])
     def test_malformed_row_rejected(self, row):
         text = self.GOLDEN.split("0,3/1", 1)[0] + row + "\n"
         with pytest.raises(FormatError, match="bad row"):

@@ -428,6 +428,15 @@ class TestCompare:
         code, _, err = run(["compare", t1, t2], capsys)
         assert code == EXIT_INCOMPARABLE and "error:" in err
 
+    def test_bad_flag_is_a_usage_error(self, tmp_path, capsys):
+        t1 = self.make_trace(tmp_path, capsys, "a", "--eps", "1e-10")
+        text = open(t1).read()
+        t2 = str(tmp_path / "b.csv")
+        open(t2, "w").write(re.sub(r"(?m)^(1,[^,]*,[^,]*),[01],", r"\1,yes,", text, count=1))
+        code, out, err = run(["compare", t1, t2], capsys)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: bad row '1,") and "yes" in err
+
     @pytest.mark.parametrize("gap", ["-1", "nan", "inf"])
     def test_meaningless_gap_is_a_usage_error(self, tmp_path, capsys, gap):
         t = self.make_trace(tmp_path, capsys, "e", "--eps", "1e-10")

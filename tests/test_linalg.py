@@ -15,6 +15,7 @@ from irmcg.benchgen import (
     SpectrumSpec,
     gen_rotated,
     gen_spring_chain,
+    parse_spectrum_inline,
     random_plan,
 )
 from irmcg.errors import (
@@ -78,11 +79,14 @@ def random_rational(rng):
     return F(num, rng.choice([3, 7, 11, 13, 2**61 - 1, 2**127 - 1]) ** rng.randint(0, 2))
 
 
-def random_sparse(rng, n):
-    """Random exact symmetric matrix with random_rational entries and one zero row."""
+def random_sparse(rng, n, density=0.4):
+    """Random exact symmetric matrix with random_rational entries and one zero row.
+
+    Each off-diagonal pair is stored with probability density.
+    """
     zero_row = rng.randrange(n)
     coords = [(i, j) for i in range(n) for j in range(i + 1)
-              if zero_row not in (i, j) and (i == j or rng.random() < 0.4)]
+              if zero_row not in (i, j) and (i == j or rng.random() < density)]
     A = SymmetricMatrix(n, [i for i, _ in coords], [j for _, j in coords],
                         [random_rational(rng) for _ in coords])
     assert not any(oracles.unpack(A)[zero_row])
@@ -309,6 +313,9 @@ class TestMatvec:
         matrices = [random_spd(rng, 8), gen_spring_chain(9, range(1, 11)),
                     SymmetricMatrix.diagonal([1, 0, 3])]
         matrices += [random_sparse(rng, n) for n in [1, 2, 5, 12, 40] * 3]
+        # Sparser than a quarter stored, so multiplied by blocks, not by limbs.
+        matrices += [random_sparse(rng, n, 0.05) for n in [20, 60]]
+        matrices += [gen_spring_chain(40, range(1, 42)), SymmetricMatrix.diagonal(range(1, 9))]
         for A in matrices:
             rows = oracles.unpack(A)
             for v in ([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(A.n)],
@@ -316,6 +323,7 @@ class TestMatvec:
                 got = matvec(A, Vector.exact(v))
                 assert list(got.data) == oracles.full_matvec(rows, v)
                 assert all(isinstance(q, F) for q in got.data)
+        assert all(A._limbs is None for A in matrices[-4:])
 
     def test_dimension_mismatch(self):
         A = SymmetricMatrix.diagonal([1, 2])
@@ -373,6 +381,121 @@ class TestMatvec:
         want = np.array([float(e) for e in oracles.full_matvec(oracles.unpack(A), v)])
         got = matvec(demote_matrix(A), demote_vector(Vector.exact(v))).data
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# Bit lengths at and around the 16-bit limb boundaries; a multiple of
+# 16 needs one more limb, whose top one (signed) is 0 or -1.
+LIMB_BITS = [0, 1, 15, 16, 17, 31, 32, 33, 48, 64, 231]
+
+
+@st.composite
+def signed_ints(draw, bits):
+    b = draw(st.sampled_from(bits))
+    if b == 0:
+        return 0
+    magnitude = draw(st.integers(2 ** (b - 1), 2**b - 1))
+    return magnitude if draw(st.booleans()) else -magnitude
+
+
+@st.composite
+def mostly_stored(draw):
+    """Exact symmetric integer matrix, n <= 12, with >= n^2 / 4 entries stored."""
+    n = draw(st.integers(1, 12))
+    zero_diagonal = draw(st.booleans())
+    coords = [(i, j) for i in range(n) for j in range(i + 1)]
+    values = [0 if i == j and zero_diagonal else draw(signed_ints(LIMB_BITS))
+              for i, j in coords]
+    A = SymmetricMatrix(n, [i for i, _ in coords], [j for _, j in coords], values)
+    assume(linalg._mostly_stored(A))
+    return A
+
+
+def rotated_n60(seed=100):
+    """The benchmark's rotated system: spectrum 1x5, ..., 12x5, 180 rotations."""
+    spec = parse_spectrum_inline(",".join("%dx5" % k for k in range(1, 13)))
+    return gen_rotated(spec, random_plan(spec.n, 180, seed))[0]
+
+
+class TestLimbMatvec:
+    """The exact matvec of a mostly stored matrix, by 16-bit limbs in float64 BLAS."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(A=mostly_stored(), data=st.data())
+    def test_matches_int_oracle(self, A, data):
+        # Vectors from the zero vector to 2100 bits: past two 64-limb chunks.
+        num = [data.draw(signed_ints(LIMB_BITS + [1024, 1040, 2100])) for _ in range(A.n)]
+        den = data.draw(st.sampled_from([1, 3, 2**64 + 1]))
+        v = Vector.exact([F(e, den) for e in num])
+        got = matvec(A, v)
+        assert A._limbs is not None
+        assert (got.num.tolist(), got.den) == oracles.int_matvec(A, v.num.tolist(), v.den)
+
+    @staticmethod
+    def banded(pairs):
+        """Order-8 matrix: diagonal 1..8 and the first `pairs` of a fixed list of pairs."""
+        off = [(1, 0), (3, 2), (5, 4), (7, 6), (7, 0)][:pairs]
+        rows = list(range(8)) + [i for i, _ in off]
+        cols = list(range(8)) + [j for _, j in off]
+        return SymmetricMatrix(8, rows, cols, [F(k + 1, 3) for k in range(8)] + [-5] * pairs)
+
+    @pytest.mark.parametrize("pairs, limbs", [(4, True), (3, False), (5, True)])
+    def test_route_starts_at_a_quarter_stored(self, pairs, limbs):
+        # 8 diagonal entries and 2 per pair: 16 of 64 stored is exactly a quarter.
+        A = self.banded(pairs)
+        assert A.data.size == 8 + 2 * pairs
+        v = Vector.exact([F(k - 3, 7) for k in range(8)])
+        got = matvec(A, v)
+        assert (A._limbs is not None) == limbs
+        assert (got.num.tolist(), got.den) == oracles.int_matvec(A, v.num.tolist(), v.den)
+
+    def test_square_is_built_once(self, monkeypatch):
+        # Splits: A's n^2 numerators and v's n on the first product, v's alone after.
+        A = random_spd(random.Random(5), 6)
+        v = Vector.exact([F(k, 5) for k in range(6)])
+        sizes = []
+        real = linalg._split_limbs
+        monkeypatch.setattr(linalg, "_split_limbs", lambda values, count: (
+            sizes.append(len(values)) or real(values, count)))
+        first = matvec(A, v)
+        square = A._limbs
+        assert matvec(A, v) == first and matvec(A, vscale(3, v)) == vscale(3, first)
+        assert A._limbs is square and sizes == [36, 6, 6, 6]
+
+    def test_converted_matrices_start_without_it(self):
+        A = random_spd(random.Random(6), 5)
+        matvec(A, Vector.exact([1, 2, 3, 4, 5]))
+        assert A._limbs is not None
+        D = demote_matrix(A)
+        matvec(D, Vector.f64([1, 2, 3, 4, 5]))
+        for B in (D, rationalize_matrix(D), snap_matrix(A, F(1, 10**9))):
+            assert B._limbs is None
+
+    def test_square_takes_8_la_n2_bytes(self):
+        A = rotated_n60()
+        matvec(A, Vector.exact(range(60)))
+        la = max(e.bit_length() for e in A.data.tolist()) // 16 + 1
+        assert la == 13 and A._limbs.dtype == np.float64
+        assert A._limbs.shape == (60, la * 60) and A._limbs.nbytes == 8 * la * 60 * 60
+        assert not A._limbs.flags.writeable
+
+    def test_memory_of_one_product(self):
+        # A 4096-bit iterate is 257 limbs: 5 chunks of at most 64 limbs,
+        # each a Toeplitz array of 60 la x (la + 63) doubles (0.47 MiB).
+        # Chunks of 256 limbs would peak over 2 MiB.
+        A = rotated_n60()
+        rng = random.Random(7)
+        v = Vector.exact([F(rng.randint(-2**4096, 2**4096), 3) for _ in range(60)])
+        want = matvec(A, v)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            got = matvec(A, v)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 * 2**20
 
 
 class TestF64Storage:
