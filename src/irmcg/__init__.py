@@ -17,7 +17,7 @@ from .analysis import (
     parse_csv,
     relative_norms,
 )
-from .arithmetic import EXACT, F64, BitBudget, ExactRational, demote, rationalize, snap_zero
+from .arithmetic import EXACT, F64, BitBudget, demote, rationalize, snap_zero
 from .benchgen import (
     RotationPlan,
     SpectrumSpec,

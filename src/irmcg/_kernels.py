@@ -1,3 +1,3 @@
-"""Placeholder: the f64 matvec is ``A @ v`` in linalg; perfbench still imports this module."""
+"""Placeholder that perfbench imports: the f64 matvec is ``reduceat`` or BLAS in linalg."""
 
 USING_NUMBA = False

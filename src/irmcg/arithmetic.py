@@ -22,9 +22,6 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, FormatError, InvalidScalar, ScalarOverflow
 
-# Public alias: the exact scalar type used across the package.
-ExactRational = Fraction
-
 EXACT = "exact"
 F64 = "f64"
 

@@ -201,7 +201,9 @@ def gen_rotated(spec, plan):
     lcm t; as the scale is then one number on rows and columns i and j,
     G commutes with it, and with c = c'/q, s = s'/q over their common
     denominator q, M mixes by the integers c', s' and s_i = s_j = q t.
-    Fractions, and their gcds, are formed once, at the end.
+    With S the lcm of the scales, A goes to the integer constructor as
+    M_kl (S/s_k)(S/s_l) over S^2 and b as v_k (S/s_k) over w S, each
+    reduced once, by one gcd: no Fraction is formed.
     """
     diag, rhs = _diagonal_system(spec)
     n = len(diag)
@@ -229,11 +231,11 @@ def gen_rotated(spec, plan):
         M[:, i], M[:, j] = c * mi - s * mj, s * mi + c * mj
         v[i], v[j] = c * v[i] - s * v[j], s * v[i] + c * v[j]
         scale[i] = scale[j] = q * t
+    S = math.lcm(*scale)
+    lift = np.array([S // sk for sk in scale], dtype=object)
     rows, cols = np.tril_indices(n)
-    values = [Fraction(M[k, l], scale[k] * scale[l])
-              for k, l in zip(rows.tolist(), cols.tolist())]
-    b = [Fraction(vk, w * sk) for vk, sk in zip(v.tolist(), scale)]
-    return SymmetricMatrix(n, rows, cols, values), Vector.exact(b), spec.m
+    A = SymmetricMatrix._ints(n, rows, cols, M[rows, cols] * lift[rows] * lift[cols], S * S)
+    return A, Vector._ints(v * lift, w * S), spec.m
 
 
 def gen_inverse(A, x_star):

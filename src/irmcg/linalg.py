@@ -9,12 +9,14 @@ holds Python int numerators over one common positive denominator
 Fraction, and no gcd per entry, is formed inside a vector operation or
 a matvec: an exact inner product is one int dot and one Fraction; a
 sum or a scaled sum combines numerators over the lcm of the
-denominators and reduces the result once, as a whole.  Fractions are
-formed only where values leave the storage (``Vector.data``,
-``entry``, ``diag``, ``full``, snapping, the SPD gate); matrix files
-are written from the numerators with one gcd per entry, native files
-are read straight into numerators, and demotion divides each numerator
-by ``den`` directly.
+denominators and reduces the result once, as a whole.  Values enter
+as int pairs (p, q) over the lcm of the q's (``_over_lcm``: constructor
+arguments, file literals and Matrix Market entries) or as numerators
+over a denominator reduced by one gcd (``_reduced``: the generator and
+the arithmetic).  Fractions are formed only where values leave the
+storage (``Vector.data``, ``entry``, ``diag``, ``full``, snapping, the
+SPD gate); files are written with one gcd per entry, and demotion
+divides each numerator by ``den`` directly.
 
 A symmetric matrix is stored as compressed sparse rows of its full
 pattern.  One matvec, ``np.add.reduceat(data * v[indices],
@@ -36,6 +38,7 @@ SPD gate, the eigenvalue estimate) work on the square that
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -108,7 +111,7 @@ class Vector:
         self.num = self.den = None
         if field == EXACT:
             # The lcm of the entries' denominators is already least.
-            self.num, self.den = _numerators(arr)
+            self.num, self.den = _over_lcm(q.as_integer_ratio() for q in arr)
             self.num.flags.writeable = False
 
     @classmethod
@@ -129,10 +132,8 @@ class Vector:
 
         Reduced once as a whole unless the caller knows it is in lowest terms.
         """
-        g = math.gcd(den, *num.tolist()) if reduce else 1
-        if g != 1:
-            num //= g
-            den //= g
+        if reduce:
+            num, den = _reduced(num, den)
         num.flags.writeable = False
         v = cls.__new__(cls)
         v._data, v.num, v.den, v.field, v.n = None, num, den, EXACT, num.shape[0]
@@ -187,13 +188,27 @@ class Vector:
         return not (self.num if self.field == EXACT else self._data).any()
 
 
-def _numerators(values):
-    """Object array of int numerators over den, the lcm of values' denominators."""
-    values = [e if isinstance(e, Fraction) else Fraction(e) for e in values]
-    den = math.lcm(*(q.denominator for q in values))
-    nums = np.empty(len(values), dtype=object)
-    nums[:] = [q.numerator * (den // q.denominator) for q in values]
+def _over_lcm(pairs):
+    """(nums, L): the values p / q of int pairs (p, q), q > 0, as numerators over L.
+
+    L is the lcm of the q's and nums the object array of the p (L / q):
+    the values' least common denominator when each p / q is in lowest
+    terms, else one ``_reduced`` away from it, with no gcd per value.
+    """
+    pairs = list(pairs)
+    den = math.lcm(*{q for _, q in pairs})
+    nums = np.empty(len(pairs), dtype=object)
+    nums[:] = [p * (den // q) for p, q in pairs]
     return nums, den
+
+
+def _reduced(num, den):
+    """num (an object array of ints, divided in place) and den over gcd(den, *num)."""
+    g = math.gcd(den, *num.tolist())
+    if g != 1:
+        num //= g
+        den //= g
+    return num, den
 
 
 class SymmetricMatrix:
@@ -221,7 +236,7 @@ class SymmetricMatrix:
         if n < 1:
             raise DimensionError("matrix order must be >= 1")
         if field == EXACT:
-            vals, den = _numerators(values)
+            vals, den = _over_lcm(Fraction(e).as_integer_ratio() for e in values)
         else:
             vals, den = _array(values, field, "matrix"), None
         self._store(n, rows, cols, vals, den, field)
@@ -230,15 +245,11 @@ class SymmetricMatrix:
     def _ints(cls, n, rows, cols, nums, den):
         """Exact order-n matrix nums / den at lower-triangle coordinates.
 
-        nums is an object array of ints, den > 0; the values are reduced
-        once as a whole, as ``Vector._ints`` does.
+        nums is a fresh object array of ints, den > 0; the values are
+        reduced once as a whole (``_reduced``), as ``Vector._ints`` does.
         """
-        g = math.gcd(den, *nums.tolist())
-        if g != 1:
-            nums //= g
-            den //= g
         A = cls.__new__(cls)
-        A._store(n, rows, cols, nums, den, EXACT)
+        A._store(n, rows, cols, *_reduced(nums, den), EXACT)
         return A
 
     def _store(self, n, rows, cols, vals, den, field):
@@ -274,24 +285,10 @@ class SymmetricMatrix:
         return cls(len(entries), every, every, entries, field)
 
     @classmethod
-    def dense(cls, data, n, field=EXACT):
-        """Dense matrix from a packed lower triangle (exact) or an n x n square (f64)."""
-        if field == F64:
-            square = _array(data, F64, "matrix")
-            if square.shape != (n, n):
-                raise DimensionError("expected shape %s, got %s" % ((n, n), square.shape))
-            return cls.from_rows(square, F64)
-        rows, cols = np.tril_indices(n)
-        data = list(data)
-        if len(data) != rows.size:
-            raise DimensionError("expected %d packed entries, got %d" % (rows.size, len(data)))
-        return cls(n, rows, cols, data, field)
-
-    @classmethod
     def from_rows(cls, rows, field=EXACT):
         """Build from a full square array of rows; symmetry is verified."""
         n = len(rows)
-        if any(len(row) != n for row in rows):
+        if not all(hasattr(row, "__len__") and len(row) == n for row in rows):
             raise DimensionError("rows do not form a square matrix")
         for i in range(n):
             for j in range(i):
@@ -416,8 +413,10 @@ def add_to_entry(v, index, delta):
 # Most products one reduceat of the sparse exact route forms at a time
 # (whole rows, so a long row can exceed it).  The products are ints as
 # wide as A's numerators plus v's, so forming all of them at once holds
-# every one: 3478 stored entries times a 4096-bit iterate peaked at 2.05
-# MiB under tracemalloc, against 1.23 MiB in blocks, at the same speed.
+# every one: times a 4096-bit iterate, one matvec peaked under
+# tracemalloc at 2.25 against 1.49 MiB in blocks for the n=1000 spring
+# chain, and 2.01 against 1.20 MiB for a random n=120 matrix with 24% of
+# its entries stored, at the same speed or faster.
 _BLOCK = 1024
 
 # The limb route (_limb_matvec): most of v's 16-bit limbs one float64
@@ -605,9 +604,12 @@ def spd_check(A, budget=BitBudget()):
     a quarter of their n^2 entries stored: LAPACK's Cholesky of full(),
     whose square then takes at most twice the memory of the stored
     arrays.  Otherwise every pivot of an LDL^T factorization positive
-    (_spd_ldlt), in floating point for sparser f64 matrices and exactly
-    for exact matrices, where a floating-point certificate comes first
-    and decides when it can.
+    (_spd_ldlt), in floating point for sparser f64 matrices (in time
+    that grows with their envelopes, not their stored entries) and
+    exactly for exact matrices, where a floating-point certificate comes
+    first and decides when it can.  The certificate factors the demoted
+    square, so it takes O(n^2) memory and O(n^3) time whatever is
+    stored: an exact sparse matrix does not cost its band.
 
     Certificate (S. M. Rump, "Verification of positive definiteness",
     BIT 46, 2006).  Demote A to A_f, pick a float shift c a little above
@@ -902,7 +904,7 @@ def write_vector(v, path):
     if v.field != EXACT:
         raise ExactRequired("vector files store exact rationals")
     lines = ["vector %d" % len(v)]
-    lines.extend(str(e) for e in v.data)
+    lines.extend(_literal(e, v.den) for e in v.num.tolist())
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -918,7 +920,7 @@ def read_matrix(path):
 
     A native file's tokens are those of ``str.split()``, and its
     literals go straight to int numerators over their common
-    denominator (``_literal_numerators``).  The literal ``0`` (most of
+    denominator (``_literal_values``).  The literal ``0`` (most of
     a sparse matrix's packed triangle) is counted but never made a
     string (``_sparse_words``).
     """
@@ -941,9 +943,7 @@ def read_matrix(path):
     if count - 2 != want:
         raise FormatError("expected %d entries, found %d" % (want, count - 2))
     del words[:2]
-    nums, den = _literal_numerators(words)
-    values = np.empty(len(words), dtype=object)
-    values[:] = list(map(nums.__getitem__, words))
+    values, den = _literal_values(words)
     nonzero = values != 0
     kept = index[2:][nonzero] - 2
     rows = cols = kept
@@ -1010,38 +1010,37 @@ def read_vector(path):
     del tokens[:2]
     if len(tokens) != n:
         raise FormatError("expected %d entries, found %d" % (n, len(tokens)))
-    nums, den = _literal_numerators(tokens)
-    num = np.empty(n, dtype=object)
-    num[:] = list(map(nums.__getitem__, tokens))
-    return Vector._ints(num, den)
+    return Vector._ints(*_literal_values(tokens))
 
 
-def _literal_numerators(tokens):
-    """({literal: int numerator}, L) for the distinct literals, over L = lcm of their q.
+def _literal_values(tokens):
+    """(nums, L): every token's value as an int numerator over L (``_over_lcm``).
 
-    Each literal p/q is split once (``rational_parts``; dict order
-    reports the first bad one) and its numerator is p (L / q).  L is a
-    common denominator of the values, so the caller's one reduction by
-    gcd(L, *numerators) leaves their least one, even for unreduced
-    literals such as 2/4: no Fraction or gcd per literal is needed.
+    Each distinct literal is split once, in order, so the first bad one is reported.
     """
-    parts = {t: rational_parts(t) for t in dict.fromkeys(tokens)}
-    den = math.lcm(*{q for _, q in parts.values()})
-    return {t: p * (den // q) for t, (p, q) in parts.items()}, den
+    literals = list(dict.fromkeys(tokens))
+    nums, den = _over_lcm(map(rational_parts, literals))
+    numerator = dict(zip(literals, nums.tolist()))
+    values = np.empty(len(tokens), dtype=object)
+    values[:] = list(map(numerator.__getitem__, tokens))
+    return values, den
 
 
-def read_matrix_market(path):
-    """Ingest a Matrix Market symmetric coordinate file, bit-exactly.
-
-    Stored doubles become their exact rational values; an integer field
-    is read as exact integers.  Only the symmetric qualifier is accepted
-    since the storage here cannot represent anything else.
-    """
-    return _parse_matrix_market(read_text(path).splitlines())
+# ASCII grammars of counts and indices, integers, and reals (decimal or
+# scientific; infinity and NaN are read, then refused as not finite).
+_DIGITS_RE = re.compile(r"[0-9]+")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_REAL_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE)
 
 
 def _parse_matrix_market(lines):
-    """The matrix of a Matrix Market file's lines; empties the list it is given."""
+    """The matrix of a symmetric coordinate Matrix Market file's lines; empties the list.
+
+    Integer entries are read exactly, real ones as the exact values of
+    their doubles, and both go to numerators over their lcm (``_over_lcm``).
+    """
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise FormatError("missing MatrixMarket banner")
     banner = lines[0].split()
@@ -1065,17 +1064,19 @@ def _parse_matrix_market(lines):
         raise FormatError("matrix is not square: %d x %d" % (rows, cols))
     if len(body) - 1 != nnz:
         raise FormatError("expected %d entries, found %d" % (nnz, len(body) - 1))
-    ii, jj, values, seen = [], [], [], set()
+    integer = fieldkind == "integer"
+    number = _INTEGER_RE if integer else _REAL_RE
+    ii, jj, pairs, seen = [], [], [], set()
     for ln in body[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError("malformed entry line %r" % ln)
-        try:
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            x = int(parts[2]) if fieldkind == "integer" else float(parts[2])
-        except ValueError:
-            raise FormatError("bad number in entry line %r" % ln) from None
-        if fieldkind == "real" and not math.isfinite(x):
+        if not (_DIGITS_RE.fullmatch(parts[0]) and _DIGITS_RE.fullmatch(parts[1])
+                and number.fullmatch(parts[2])):
+            raise FormatError("bad number in entry line %r" % ln)
+        i, j = int(parts[0]) - 1, int(parts[1]) - 1
+        x = int(parts[2]) if integer else float(parts[2])
+        if not integer and not math.isfinite(x):
             raise FormatError("non-finite value in entry line %r" % ln)
         if not (0 <= i < rows and 0 <= j < rows):
             raise FormatError("entry index out of range in %r" % ln)
@@ -1086,18 +1087,17 @@ def _parse_matrix_market(lines):
         seen.add(i * rows + j)
         ii.append(i)
         jj.append(j)
-        values.append(Fraction(x))
+        pairs.append(x.as_integer_ratio())
     # The text goes before the O(nnz) arrays are built, not after.
     lines.clear()
     del body, seen
-    return SymmetricMatrix(rows, ii, jj, values)
+    return SymmetricMatrix._ints(rows, ii, jj, *_over_lcm(pairs))
 
 
 def _parse_count(token):
-    try:
-        value = int(token)
-    except ValueError:
-        raise FormatError("not an integer: %r" % token) from None
+    if not _DIGITS_RE.fullmatch(token):
+        raise FormatError("not an integer: %r" % token)
+    value = int(token)
     if value < 1:
         raise FormatError("count must be positive, got %d" % value)
     return value

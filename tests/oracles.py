@@ -3,7 +3,11 @@
 Everything here works on plain lists of Fractions and deliberately
 avoids the package's own matvec, elimination, and energy code paths.
 ``split_read_matrix`` reads a native matrix file one ``str.split()``
-token at a time, the reference for ``linalg.read_matrix``.
+token at a time, and ``fraction_read_matrix_market`` a Matrix Market
+file one ``Fraction`` per entry: the references for
+``linalg.read_matrix``.  ``fraction_gen_rotated`` is the reference for
+``benchgen.gen_rotated``, its integer congruence ending in one
+``Fraction`` per entry.
 """
 
 import math
@@ -11,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from irmcg import linalg
+from irmcg import benchgen, linalg
 from irmcg.arithmetic import any_size
-from irmcg.errors import FormatError
+from irmcg.errors import DimensionError, FormatError
 
 
 def unpack(A):
@@ -159,12 +163,107 @@ def split_read_matrix(path):
     want = n * (n + 1) // 2 if symmetric else n
     if len(tokens) != want:
         raise FormatError("expected %d entries, found %d" % (want, len(tokens)))
-    nums, den = linalg._literal_numerators(tokens)
-    kept = np.flatnonzero(np.fromiter(map(nums.__getitem__, tokens), bool, len(tokens)))
+    values, den = linalg._literal_values(tokens)
+    kept = np.flatnonzero(values != 0)
     rows = cols = kept
     if symmetric:
         rows = np.searchsorted(np.cumsum(np.arange(n)), kept, side="right") - 1
         cols = kept - rows * (rows + 1) // 2
-    data = np.empty(kept.size, dtype=object)
-    data[:] = [nums[tokens[k]] for k in kept.tolist()]
-    return linalg.SymmetricMatrix._ints(n, rows, cols, data, den)
+    return linalg.SymmetricMatrix._ints(n, rows, cols, values[kept], den)
+
+
+@any_size
+def fraction_read_matrix_market(path):
+    """A Matrix Market file's entries read with int() and float(), a Fraction each.
+
+    The reference for ``linalg.read_matrix`` on entries in the ASCII
+    grammar that both accept; int() and float() also take more, such as
+    ``1_0`` or non-ASCII digits.  Counts go through ``linalg._parse_count``.
+    """
+    lines = linalg.read_text(path).splitlines()
+    if not lines or not lines[0].startswith("%%MatrixMarket"):
+        raise FormatError("missing MatrixMarket banner")
+    banner = lines[0].split()
+    if len(banner) != 5:
+        raise FormatError("malformed MatrixMarket banner")
+    _, obj, fmt, fieldkind, qualifier = [w.lower() for w in banner]
+    if obj != "matrix" or fmt != "coordinate":
+        raise FormatError("only coordinate matrices are supported")
+    if fieldkind not in ("real", "integer"):
+        raise FormatError("unsupported value field %r" % fieldkind)
+    if qualifier != "symmetric":
+        raise FormatError("only the symmetric qualifier is supported")
+    body = [ln for ln in lines[1:] if ln.strip() and not ln.lstrip().startswith("%")]
+    if not body:
+        raise FormatError("missing size line")
+    size = body[0].split()
+    if len(size) != 3:
+        raise FormatError("malformed size line %r" % body[0])
+    rows, cols, nnz = (linalg._parse_count(t) for t in size)
+    if rows != cols:
+        raise FormatError("matrix is not square: %d x %d" % (rows, cols))
+    if len(body) - 1 != nnz:
+        raise FormatError("expected %d entries, found %d" % (nnz, len(body) - 1))
+    ii, jj, values, seen = [], [], [], set()
+    for ln in body[1:]:
+        parts = ln.split()
+        if len(parts) != 3:
+            raise FormatError("malformed entry line %r" % ln)
+        try:
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            x = int(parts[2]) if fieldkind == "integer" else float(parts[2])
+        except ValueError:
+            raise FormatError("bad number in entry line %r" % ln) from None
+        if fieldkind == "real" and not math.isfinite(x):
+            raise FormatError("non-finite value in entry line %r" % ln)
+        if not (0 <= i < rows and 0 <= j < rows):
+            raise FormatError("entry index out of range in %r" % ln)
+        if j > i:
+            i, j = j, i
+        if i * rows + j in seen:
+            raise FormatError("duplicate entry for (%d, %d)" % (i + 1, j + 1))
+        seen.add(i * rows + j)
+        ii.append(i)
+        jj.append(j)
+        values.append(Fraction(x))
+    return linalg.SymmetricMatrix(rows, ii, jj, values)
+
+
+def fraction_gen_rotated(spec, plan):
+    """``benchgen.gen_rotated`` with a Fraction per entry at the end.
+
+    The same integer congruence (M_kl / (s_k s_l), v_k / (w s_k)), but
+    each entry is reduced on its own, as a Fraction, and the matrix and
+    vector are built from those Fractions.
+    """
+    diag, rhs = benchgen._diagonal_system(spec)
+    n = len(diag)
+    scale = [q.denominator for q in diag]
+    M = np.zeros((n, n), dtype=object)
+    M[range(n), range(n)] = [q.numerator * q.denominator for q in diag]
+    w = math.lcm(*(q.denominator for q in rhs))
+    v = np.array([q.numerator * (w // q.denominator) * s for q, s in zip(rhs, scale)],
+                 dtype=object)
+    for i, j, c, s in plan.steps:
+        if i >= n or j >= n:
+            raise DimensionError("rotation index out of range for n = %d" % n)
+        t = math.lcm(scale[i], scale[j])
+        for k in (i, j):
+            if t != scale[k]:
+                f = t // scale[k]
+                M[k, :] *= f
+                M[:, k] *= f
+                v[k] *= f
+        q = math.lcm(c.denominator, s.denominator)
+        c, s = c.numerator * (q // c.denominator), s.numerator * (q // s.denominator)
+        mi, mj = M[i, :].copy(), M[j, :].copy()
+        M[i, :], M[j, :] = c * mi - s * mj, s * mi + c * mj
+        mi, mj = M[:, i].copy(), M[:, j].copy()
+        M[:, i], M[:, j] = c * mi - s * mj, s * mi + c * mj
+        v[i], v[j] = c * v[i] - s * v[j], s * v[i] + c * v[j]
+        scale[i] = scale[j] = q * t
+    rows, cols = np.tril_indices(n)
+    values = [Fraction(M[k, l], scale[k] * scale[l])
+              for k, l in zip(rows.tolist(), cols.tolist())]
+    b = [Fraction(vk, w * sk) for vk, sk in zip(v.tolist(), scale)]
+    return linalg.SymmetricMatrix(n, rows, cols, values), linalg.Vector.exact(b), spec.m

@@ -9,6 +9,7 @@ from irmcg.analysis import CONVERGED, ZERO_INITIAL_RESIDUAL
 from irmcg.arithmetic import EXACT, F64
 from irmcg.benchgen import (
     RHS_EXPLICIT,
+    RHS_ONES,
     RHS_RANDOM,
     RotationPlan,
     SpectrumSpec,
@@ -201,6 +202,33 @@ class TestGenRotated:
         assert oracles.unpack(A) == rows
         assert list(b.data) == want_b
         assert m_rot == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 5), st.integers(0, 20),
+           st.sampled_from([RHS_ONES, RHS_RANDOM, RHS_EXPLICIT]))
+    def test_matches_the_fraction_tail(self, seed, count, rotations, rule):
+        # Random rational spectra (unrelated denominators, multiplicities,
+        # inactive items) and plans: the integer constructors give the
+        # matrix and rhs, with the same den, that a Fraction per entry gives.
+        rng = random.Random(seed)
+        dens = [1, 2, 3, 7, 12, 25, 2**61 - 1, 10**9 + 7]
+        eigs = {F(rng.randint(1, 10**6), rng.choice(dens)) for _ in range(count)}
+        items = tuple((e, rng.randint(1, 3), rng.random() < 0.8) for e in eigs)
+        if not any(active for _, _, active in items):
+            items = ((items[0][0], items[0][1], True),) + items[1:]
+        rhs = []
+        for _, mult, active in items:
+            block = [F(rng.randint(-9, 9), rng.choice(dens)) if active else F(0)
+                     for _ in range(mult)]
+            if active and not any(block):
+                block[0] = F(1, rng.choice(dens))
+            rhs.extend(block)
+        spec = SpectrumSpec(items, rhs_rule=rule, rhs_values=rhs, rhs_seed=seed)
+        plan = random_plan(spec.n, rotations, seed)
+        A, b, m = gen_rotated(spec, plan)
+        want_A, want_b, want_m = oracles.fraction_gen_rotated(spec, plan)
+        assert (A.den, A.kind) == (want_A.den, want_A.kind) and A == want_A
+        assert b.den == want_b.den and b == want_b and m == want_m
 
     def test_index_out_of_range(self):
         spec = SpectrumSpec(((1, 1, True), (4, 1, True)))

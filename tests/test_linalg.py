@@ -42,7 +42,6 @@ from irmcg.linalg import (
     rationalize_matrix,
     rationalize_vector,
     read_matrix,
-    read_matrix_market,
     read_vector,
     small_solve,
     snap_matrix,
@@ -174,8 +173,8 @@ def test_lanes_agree_bit_for_bit(op):
 # f64 results are wrapped without a copy: each route that makes one.  The
 # CSR matrix stores a pair fewer than its square; the BLAS one stores all n^2.
 def _f64_routes():
-    csr = SymmetricMatrix.dense([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]], 3, F64)
-    blas = SymmetricMatrix.dense([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]], 3, F64)
+    csr = SymmetricMatrix.from_rows([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]], F64)
+    blas = SymmetricMatrix.from_rows([[2.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 4.0]], F64)
     assert csr.data.size == 7 and blas.data.size == 9
     return {
         "add_scaled": lambda u, v: add_scaled(u, 3, v),
@@ -209,7 +208,7 @@ class TestF64Results:
     @pytest.mark.parametrize("c", [0.0, 1.0])  # reduceat, BLAS
     def test_nan_is_invalid_scalar(self, c):
         # Row 0 sums 1e309 and -1e309: inf - inf, a NaN.
-        A = SymmetricMatrix.dense([[1e308, -1e308, c], [-1e308, 1e308, c], [c, c, 1.0]], 3, F64)
+        A = SymmetricMatrix.from_rows([[1e308, -1e308, c], [-1e308, 1e308, c], [c, c, 1.0]], F64)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidScalar) as exc:
             matvec(A, Vector.f64([10.0, 10.0, 1.0]))
         assert str(exc.value) == "vector contains NaN or infinity"
@@ -365,11 +364,11 @@ class TestMatvec:
         B = rng.standard_normal((9, 9))
         square = B @ B.T + 9 * np.eye(9)
         v = rng.standard_normal(9)
-        A = SymmetricMatrix.dense(square, 9, F64)
+        A = SymmetricMatrix.from_rows(square, F64)
         assert A.data.size == 81
         assert np.array_equal(matvec(A, Vector.f64(v)).data, square @ v)
         square[5, 0] = square[0, 5] = 0.0
-        S = SymmetricMatrix.dense(square, 9, F64)
+        S = SymmetricMatrix.from_rows(square, F64)
         assert S.data.size == 79
         assert np.allclose(matvec(S, Vector.f64(v)).data, square @ v, rtol=1e-14, atol=0)
 
@@ -517,19 +516,17 @@ class TestF64Storage:
 
     def test_rejects_asymmetric_square(self):
         with pytest.raises(ValueError):
-            SymmetricMatrix.dense([[1.0, 2.0], [3.0, 1.0]], 2, F64)
-        with pytest.raises(ValueError):
             SymmetricMatrix.from_rows([[1.0, 2.0], [3.0, 1.0]], F64)
 
     def test_rejects_wrong_shape_and_non_finite(self):
-        with pytest.raises(DimensionError):
-            SymmetricMatrix.dense([1.0, 0.0, 1.0], 2, F64)
-        with pytest.raises(DimensionError):
-            SymmetricMatrix.dense([1, 0], 2)
+        # A flat list is not a list of rows.
+        for flat in ([1.0, 0.0, 1.0], np.array([1.0, 0.0, 1.0]), [F(1), 0]):
+            with pytest.raises(DimensionError, match="rows do not form a square matrix"):
+                SymmetricMatrix.from_rows(flat, F64 if isinstance(flat[0], float) else EXACT)
         with pytest.raises(DimensionError):
             SymmetricMatrix.from_rows([[1.0, 0.0]], F64)
         with pytest.raises(InvalidScalar):
-            SymmetricMatrix.dense([[float("inf")]], 1, F64)
+            SymmetricMatrix.from_rows([[float("inf")]], F64)
         with pytest.raises(InvalidScalar):
             SymmetricMatrix.diagonal([1.0, float("nan")], F64)
 
@@ -563,9 +560,9 @@ def _read(tmp_path, text, reader=read_matrix):
 CONSTRUCTIONS = {
     "diagonal": lambda tmp: SymmetricMatrix.diagonal([1, 0, F(2, 3)]),
     "diagonal-f64": lambda tmp: SymmetricMatrix.diagonal([1.0, 0.0, -0.0], F64),
-    "dense": lambda tmp: SymmetricMatrix.dense([2, 0, 0, 1, 0, 3], 3),
-    "dense-f64": lambda tmp: SymmetricMatrix.dense(
-        [[2.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 0.0, 3.0]], 3, F64),
+    "dense": lambda tmp: SymmetricMatrix(3, *np.tril_indices(3), [2, 0, 0, 1, 0, 3]),
+    "dense-f64": lambda tmp: SymmetricMatrix.from_rows(
+        [[2.0, -0.0, 1.0], [-0.0, 0.0, 0.0], [1.0, 0.0, 3.0]], F64),
     "from_rows": lambda tmp: SymmetricMatrix.from_rows(
         [[0, F(1, 3), 0], [F(1, 3), 5, -1], [0, -1, 0]]),
     "from_rows-f64": lambda tmp: SymmetricMatrix.from_rows([[4.0, 0.0], [0.0, 0.0]], F64),
@@ -573,8 +570,8 @@ CONSTRUCTIONS = {
     "chain": lambda tmp: gen_spring_chain(5, [1, 2, 3, 4, 5, 6]),
     "read_matrix-symmetric": lambda tmp: _read(tmp, "symmetric 3\n2\n0 0\n1/2 0 3\n"),
     "read_matrix-diagonal": lambda tmp: _read(tmp, "diagonal 3\n1\n0\n5\n"),
-    "read_matrix_market": lambda tmp: _read(
-        tmp, MARKET_HEAD + "3 3 4\n1 1 2.0\n1 3 0.5\n3 2 0.0\n3 3 1.0\n", read_matrix_market),
+    "read_matrix-market": lambda tmp: _read(
+        tmp, MARKET_HEAD + "3 3 4\n1 1 2.0\n1 3 0.5\n3 2 0.0\n3 3 1.0\n"),
     # An off-diagonal entry below the double range demotes to zero.
     "demote_matrix": lambda tmp: demote_matrix(SymmetricMatrix.from_rows(
         [[1, F(1, 10**400), 2], [F(1, 10**400), 0, 0], [2, 0, 9]])),
@@ -1068,6 +1065,9 @@ class TestFiles:
         (read_vector, "vector 3\n1 -2/x 1e3\n", "not a rational literal: '-2/x'"),
         (read_vector, "vector 2\n1/0 zz\n", "zero denominator in '1/0'"),
         (read_vector, "vector 2\n1 2 3\n", "expected 2 entries, found 3"),
+        # Counts are ASCII digits: not an Arabic-Indic 3, not a sign.
+        (read_vector, "vector \u0663\n1 2 3\n", "not an integer: '\u0663'"),
+        (read_matrix, "diagonal +2\n1 1\n", "not an integer: '+2'"),
     ])
     def test_read_errors(self, tmp_path, reader, text, message):
         with pytest.raises(FormatError) as exc:
@@ -1090,7 +1090,7 @@ class TestFiles:
             assert got == want and list(got.data) == list(values)
         else:
             got = _read(tmp_path, text)
-            want = (SymmetricMatrix.dense(values, n) if kind == "symmetric"
+            want = (SymmetricMatrix(n, *np.tril_indices(n), values) if kind == "symmetric"
                     else SymmetricMatrix.diagonal(values))
             nums = got.data.tolist()
             assert (got.den, nums) == (want.den, want.data.tolist())
@@ -1108,7 +1108,7 @@ class TestFiles:
     def test_written_literals_are_those_of_str(self, tmp_path, values):
         # Each entry is written as str(Fraction) writes it: p, or p/q in lowest terms.
         path = tmp_path / "out.txt"
-        for obj, head in ((SymmetricMatrix.dense(values, 3), "symmetric 3"),
+        for obj, head in ((SymmetricMatrix(3, *np.tril_indices(3), values), "symmetric 3"),
                           (SymmetricMatrix.diagonal(values), "diagonal 6"),
                           (Vector.exact(values), "vector 6")):
             if isinstance(obj, Vector):
@@ -1190,7 +1190,7 @@ class TestNativeReader:
         ("symmetric 2\u00a00\u20030\u3000\u00bd", "not a rational literal: '\u00bd'"),
         ("symmetric 2 0 0 0/0", "zero denominator in '0/0'"),
         ("symmetric\x1c2\x1d1\x1e0\x1f4", [1, 4]),
-        ("diagonal \uff13 0 -0 7", [7]),  # int() reads a full-width 3
+        ("diagonal \uff13 0 -0 7", "not an integer: '\uff13'"),  # a full-width 3
         ("symmetric 3\n00\n+0 0/7\n-0 0 3/9", [F(1, 3)]),
         ("symmetric 1 0", [0]),
     ])
@@ -1226,7 +1226,76 @@ class TestNativeReader:
         assert peak <= 5 * path.stat().st_size
 
 
+# Matrix Market values in the grammar read_matrix accepts, and some it refuses.
+MARKET_REALS = ["5e-324", "-5e-324", "1e308", "-1e308", "-0.0", "0.0", "0", "-0", "1.5",
+                "-2.25e-3", ".5", "3.", "1E+2", "+7", "0.1", "2.5e-310"]
+MARKET_BAD = {"real": ["inf", "-Infinity", "nan", "+NaN", "1e999", "abc", "0x10", "1/2", "e5",
+                       "1e", "."],
+              "integer": ["1.5", "1e3", "abc", "inf", "1/2", "--1"]}
+
+
+@st.composite
+def market_texts(draw):
+    """Text of a Matrix Market file, mostly well formed, in ASCII."""
+    field = draw(st.sampled_from(["real", "integer"]))
+    qualifier = draw(st.sampled_from(["symmetric"] * 8 + ["general", "Symmetric"]))
+    head = "%%%%MatrixMarket matrix coordinate %s %s" % (
+        draw(st.sampled_from([field, field.upper()])), qualifier)
+    n = draw(st.integers(1, 5))
+    nnz = draw(st.integers(1, 6))
+
+    def value():
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(MARKET_BAD[field]))
+        if field == "real":
+            return draw(st.sampled_from(MARKET_REALS)
+                        | st.floats(allow_nan=False, allow_infinity=False).map(repr))
+        if draw(st.integers(0, 4)) == 0:  # past Python's 4300-digit limit
+            return draw(st.sampled_from(["", "-", "+"])) + str(draw(st.integers(1, 99))) \
+                + "0" * draw(st.integers(4300, 4400))
+        return draw(st.sampled_from(["", "+"])) + str(draw(st.integers(-10**20, 10**20)))
+
+    index = st.integers(1, n) | st.sampled_from([0, n + 1])
+    lines = []
+    for _ in range(nnz + draw(st.sampled_from([0] * 8 + [-1, 1]))):
+        fields = [str(draw(index)), str(draw(index)), value()]
+        if draw(st.integers(0, 29)) == 0:
+            fields = fields[:2]
+        lines.append(" ".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["% a comment", "", "   "])))
+    size = "%d %d %d" % (n, draw(st.sampled_from([n] * 9 + [n + 1])), nnz)
+    return "\n".join([head, "% comment", size] + lines) + "\n"
+
+
 class TestMatrixMarket:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=market_texts())
+    def test_matches_the_fraction_parser(self, tmp_path, text):
+        # Same matrix (n, den and CSR arrays) or the same error as int()
+        # and float() with a Fraction per entry.
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        assert _outcome(read_matrix, path) == _outcome(oracles.fraction_read_matrix_market, path)
+
+    @pytest.mark.parametrize("field, size, line, message", [
+        ("real", "2 2 2", "2 1 0_5", "bad number in entry line '2 1 0_5'"),
+        ("real", "2 2 2", "2 1 \u0661.5", "bad number in entry line '2 1 \u0661.5'"),
+        ("real", "\u0662 2 2", "2 1 0.5", "not an integer: '\u0662'"),
+        ("integer", "2 2 2", "2 1 1_0", "bad number in entry line '2 1 1_0'"),
+        ("integer", "2 2 2", "+2 1 5", "bad number in entry line '+2 1 5'"),
+        ("integer", "2 2 2", "2 \u0661 5", "bad number in entry line '2 \u0661 5'"),
+    ])
+    def test_numbers_are_ascii(self, tmp_path, field, size, line, message):
+        # int() and float() take these (0_5 as 5, \u0661.5 as 3/2, a size
+        # line in Arabic-Indic digits as order 2); the file grammar does not.
+        text = "%%%%MatrixMarket matrix coordinate %s symmetric\n%s\n1 1 4\n%s\n" % (
+            field, size, line)
+        with pytest.raises(FormatError) as exc:
+            _read(tmp_path, text)
+        assert str(exc.value) == message
+
     def test_reads_and_rationalizes(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text(
@@ -1237,7 +1306,7 @@ class TestMatrixMarket:
             "2 1 0.1\n"
             "2 2 4.0\n"
         )
-        A = read_matrix_market(path)
+        A = read_matrix(path)
         assert A.entry(0, 0) == 2
         assert A.entry(1, 0) == rationalize(0.1)
         assert A.entry(0, 1) == rationalize(0.1)
@@ -1252,7 +1321,7 @@ class TestMatrixMarket:
             )
             + "1 1 1\n1 1 %d\n" % big
         )
-        assert read_matrix_market(path).entry(0, 0) == big
+        assert read_matrix(path).entry(0, 0) == big
 
     def test_integer_field_beyond_double_range_is_exact(self, tmp_path):
         path = tmp_path / "m.mtx"
@@ -1261,7 +1330,7 @@ class TestMatrixMarket:
             "%%%%MatrixMarket matrix coordinate integer symmetric\n"
             "2 2 3\n1 1 %d\n2 1 %d\n2 2 1\n" % (big, 1 - big)
         )
-        A = read_matrix_market(path)
+        A = read_matrix(path)
         assert A.entry(0, 0) == big
         assert A.entry(1, 0) == A.entry(0, 1) == 1 - big
         assert A.entry(1, 1) == 1
@@ -1270,7 +1339,7 @@ class TestMatrixMarket:
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n")
         with pytest.raises(FormatError):
-            read_matrix_market(path)
+            read_matrix(path)
 
     @pytest.mark.parametrize("field, line", [
         ("real", "2 1 inf"),
@@ -1284,14 +1353,13 @@ class TestMatrixMarket:
             "%%%%MatrixMarket matrix coordinate %s symmetric\n2 2 2\n1 1 4\n%s\n" % (field, line)
         )
         with pytest.raises(FormatError, match=repr(line)):
-            read_matrix_market(path)
+            read_matrix(path)
 
     def test_read_matrix_takes_either_format(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text(
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 2.0\n2 1 0.5\n"
         )
-        assert read_matrix(path) == read_matrix_market(path)
         assert read_matrix(path).entry(1, 1) == 0
         path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n")
         with pytest.raises(FormatError, match="symmetric qualifier"):
@@ -1304,4 +1372,4 @@ class TestMatrixMarket:
             "2 2 2\n1 2 1.0\n2 1 1.0\n"
         )
         with pytest.raises(FormatError):
-            read_matrix_market(path)
+            read_matrix(path)
