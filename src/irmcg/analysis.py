@@ -18,6 +18,8 @@ from .arithmetic import (
     demote,
     format_double,
     format_rational,
+    parse_double,
+    parse_integer,
     parse_rational,
 )
 from .errors import (
@@ -51,16 +53,15 @@ _PREAMBLE_KEYS = (
 )
 
 
+# Each arithmetic tag's lane, and the writer and reader of its scalars.
+_CODECS = {
+    E_TAG: (EXACT, format_rational, parse_rational),
+    DP_TAG: (F64, format_double, parse_double),
+}
+
+
 def tag_for(field):
     return E_TAG if field == EXACT else DP_TAG
-
-
-def field_for(tag):
-    if tag == E_TAG:
-        return EXACT
-    if tag == DP_TAG:
-        return F64
-    raise FormatError("unknown arithmetic tag %r" % tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +75,7 @@ class StepRecord:
     perturbed: bool
 
     def __post_init__(self):
-        if self.rr < 0:
+        if not self.rr >= 0:  # NaN too
             raise ValueError("rr must be nonnegative")
 
 
@@ -145,7 +146,7 @@ class ConvergenceTrace:
     records: Records
 
     def __post_init__(self):
-        if self.arith not in (E_TAG, DP_TAG):
+        if self.arith not in _CODECS:
             raise ValueError("arith must be %r or %r" % (E_TAG, DP_TAG))
         if self.termination not in TERMINATIONS:
             raise ValueError("unknown termination %r" % self.termination)
@@ -153,7 +154,7 @@ class ConvergenceTrace:
 
     @property
     def field(self):
-        return field_for(self.arith)
+        return _CODECS[self.arith][0]
 
     @property
     def steps(self):
@@ -253,25 +254,6 @@ def _diverged(nE, nDP, gap):
     return abs(math.log10(nE / nDP)) > gap
 
 
-def _format_scalar(value, arith):
-    if value is None:
-        return ""
-    if arith == E_TAG:
-        return format_rational(value)
-    return format_double(value)
-
-
-def _parse_scalar(text, arith):
-    if text == "":
-        return None
-    if arith == E_TAG:
-        return parse_rational(text)
-    try:
-        return float(text)
-    except ValueError:
-        raise FormatError("not a double literal: %r" % text) from None
-
-
 def _flag(cell):
     """A refreshed or perturbed cell: emit_csv writes only 0 or 1."""
     if cell not in ("0", "1"):
@@ -286,12 +268,12 @@ def emit_csv(t, destination):
     scalars use shortest round-trip decimals.  `destination` is a path
     or a file-like object with write().
     """
+    write = _CODECS[t.arith][1]
     lines = []
     for key in _PREAMBLE_KEYS:
+        value = getattr(t, key)
         if key in ("omega", "epsilon"):
-            value = _format_scalar(getattr(t, key), t.arith)
-        else:
-            value = str(getattr(t, key))
+            value = "" if value is None else write(value)
         lines.append("# %s %s" % (key, value))
     lines.append(_CSV_HEADER)
     for rec in t.records:
@@ -299,8 +281,8 @@ def emit_csv(t, destination):
             "%d,%s,%s,%d,%d"
             % (
                 rec.i,
-                _format_scalar(rec.rr, t.arith),
-                _format_scalar(rec.energy, t.arith),
+                write(rec.rr),
+                "" if rec.energy is None else write(rec.energy),
                 1 if rec.refreshed else 0,
                 1 if rec.perturbed else 0,
             )
@@ -339,8 +321,9 @@ def parse_csv(source):
     if not saw_header:
         raise FormatError("missing column header")
     arith = meta["arith"]
-    if arith not in (E_TAG, DP_TAG):
+    if arith not in _CODECS:
         raise FormatError("unknown arithmetic tag %r" % arith)
+    read = _CODECS[arith][2]
     records = []
     for line in rows:
         cells = line.split(",")
@@ -351,24 +334,24 @@ def parse_csv(source):
         try:
             records.append(
                 StepRecord(
-                    i=int(cells[0]),
-                    rr=_parse_scalar(cells[1], arith),
-                    energy=_parse_scalar(cells[2], arith),
+                    i=parse_integer(cells[0]),
+                    rr=read(cells[1]),
+                    energy=read(cells[2]) if cells[2] else None,
                     refreshed=_flag(cells[3]),
                     perturbed=_flag(cells[4]),
                 )
             )
-        except ValueError as exc:
+        except (ValueError, FormatError) as exc:
             raise FormatError("bad row %r: %s" % (line, exc)) from None
     try:
         return ConvergenceTrace(
             method=meta["method"],
             arith=arith,
-            omega=_parse_scalar(meta["omega"], arith),
-            epsilon=_parse_scalar(meta["epsilon"], arith),
-            refresh_k=int(meta["refresh_k"]),
-            max_steps=int(meta["max_steps"]),
-            seed=int(meta["seed"]),
+            omega=read(meta["omega"]) if meta["omega"] else None,
+            epsilon=read(meta["epsilon"]) if meta["epsilon"] else None,
+            refresh_k=parse_integer(meta["refresh_k"]),
+            max_steps=parse_integer(meta["max_steps"]),
+            seed=parse_integer(meta["seed"]),
             termination=meta["termination"],
             records=records,
         )

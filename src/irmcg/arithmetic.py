@@ -9,8 +9,11 @@ Two backends are supported throughout the package:
 
 Every finite double is itself a rational number p / 2^e, so conversion
 from ``f64`` to ``exact`` is performed bit-exactly and never through a
-decimal string.  A separate decimal parser exists for human-authored
-input (tolerances, thresholds, file entries).
+decimal string.
+
+Every number the package reads from text is read here, each kind by
+one reader with one ASCII grammar (README, "Numbers in text"): counts
+and naturals, integers, doubles, rational literals and human decimals.
 """
 
 import functools
@@ -33,8 +36,10 @@ SCALAR = {EXACT: Fraction, F64: float}
 
 ZERO = Fraction(0)
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+# The grammar of rational literals, matched whole.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+EXPONENT_BOUND = 4300  # of a human decimal; CPython's default int/str digit limit
 
 def any_size(fn):
     """fn with Python's limit on int <-> decimal string conversions lifted.
@@ -125,6 +130,42 @@ class BitBudget:
             )
 
 
+def _read(text, reader, refusal, error=None):
+    """reader(text) on stripped text that is ASCII with no "_"; else FormatError.
+
+    On such text int(), float() and Fraction() read exactly the ASCII
+    grammars: "_" and non-ASCII digits are all they accept beyond them.
+    The error's text is ``error``, or else ``refusal % text``.
+    """
+    text = str(text).strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return reader(text)
+        except (ValueError, ZeroDivisionError):  # not a number, past the digit limit, or q = 0
+            pass
+    raise FormatError(error or refusal % (text,))
+
+
+def parse_integer(text, error=None):
+    """An int: ASCII digits with an optional sign."""
+    return _read(text, int, "not an integer: %r", error)
+
+
+def parse_count(text, least=1):
+    """An int in ASCII digits, at least least: 1 for a size or count, 0 for an index."""
+    value = parse_integer(text)
+    if not text.strip().isdigit():
+        raise FormatError("not an integer: %r" % text.strip())
+    if value < least:
+        raise FormatError("count must be positive, got %d" % value)
+    return value
+
+
+def parse_double(text):
+    """A float of ASCII decimal or scientific text, or inf, infinity or nan in any case."""
+    return _read(text, float, "not a double literal: %r")
+
+
 def rational_parts(text):
     """Split a rational literal into ints (p, q), q > 0, not reduced.
 
@@ -134,7 +175,7 @@ def rational_parts(text):
     Python's limit lifted by the caller (``any_size``).
     """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise FormatError("not a rational literal: %r" % text)
     num, _, den = text.partition("/")
     den = int(den) if den else 1
@@ -152,14 +193,21 @@ def parse_rational(text):
 def parse_decimal(text):
     """Parse a human-authored number into an exact rational.
 
-    Accepts rational literals plus decimal and scientific notation;
-    the decimal forms are read exactly ("1e-10" -> 1/10**10,
-    "0.1" -> 1/10), so tolerances keep their intended value.
+    Accepts, in ASCII, a rational literal ("-36/25") or decimal and
+    scientific notation, read exactly ("1e-10" -> 1/10**10, "0.1" ->
+    1/10), so tolerances keep their intended value.  The exponent's
+    magnitude is held to EXPONENT_BOUND (checked on its text before it
+    is read), and runs of digits to Python's 4300-digit int/str limit.
     """
-    try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError):
-        raise FormatError("not a number: %r" % text) from None
+    return _read(text, _decimal, "not a number: %r")
+
+
+def _decimal(text):
+    exponent = text.lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if exponent.isdigit() and (
+            len(exponent) > len(str(EXPONENT_BOUND)) or int(exponent) > EXPONENT_BOUND):
+        raise FormatError("exponent past %d in magnitude: %r" % (EXPONENT_BOUND, text))
+    return Fraction(text)
 
 
 @any_size

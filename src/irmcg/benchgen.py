@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import EXACT, ZERO, any_size, parse_rational
+from .arithmetic import EXACT, ZERO, any_size, parse_integer, parse_rational
 from .errors import (
     DimensionError,
     ExactRequired,
@@ -275,7 +275,17 @@ def gen_spring_chain(n, stiffnesses):
 # then a final line "rhs ones" | "rhs random <seed>" |
 # "rhs explicit <v1> ... <vn>".  Inline form (command line):
 # comma-separated "EIGxMULT" items, a trailing "i" marking inactive,
-# e.g. "1x2,3/2x1,10x3i".
+# e.g. "1x2,3/2x1,10x3i".  Eigenvalues and rhs values are rational
+# literals, multiplicities and the seed integers (``arithmetic``).
+
+
+def _spectrum(items, rhs_rule, rhs_values, rhs_seed):
+    try:
+        return SpectrumSpec(
+            tuple(items), rhs_rule=rhs_rule, rhs_values=rhs_values, rhs_seed=rhs_seed
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def parse_spectrum_inline(text, rhs_rule=RHS_ONES, rhs_values=None, rhs_seed=None):
@@ -284,24 +294,13 @@ def parse_spectrum_inline(text, rhs_rule=RHS_ONES, rhs_values=None, rhs_seed=Non
         chunk = chunk.strip()
         if not chunk:
             raise FormatError("empty spectrum item in %r" % text)
-        active = True
-        if chunk.endswith("i"):
-            active = False
-            chunk = chunk[:-1]
-        if "x" not in chunk:
-            raise FormatError("spectrum item %r is not EIGxMULT" % chunk)
-        eig_text, mult_text = chunk.rsplit("x", 1)
-        try:
-            mult = int(mult_text)
-        except ValueError:
-            raise FormatError("bad multiplicity in %r" % chunk) from None
-        items.append((parse_rational(eig_text), mult, active))
-    try:
-        return SpectrumSpec(
-            tuple(items), rhs_rule=rhs_rule, rhs_values=rhs_values, rhs_seed=rhs_seed
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        item = chunk.removesuffix("i")
+        if "x" not in item:
+            raise FormatError("spectrum item %r is not EIGxMULT" % item)
+        eig_text, mult_text = item.rsplit("x", 1)
+        mult = parse_integer(mult_text, "bad multiplicity in %r" % item)
+        items.append((parse_rational(eig_text), mult, item == chunk))
+    return _spectrum(items, rhs_rule, rhs_values, rhs_seed)
 
 
 def read_spectrum_file(path):
@@ -323,10 +322,7 @@ def parse_spectrum_lines(lines):
             if rhs_rule == RHS_RANDOM:
                 if len(parts) != 3:
                     raise FormatError("rhs random needs a seed")
-                try:
-                    rhs_seed = int(parts[2])
-                except ValueError:
-                    raise FormatError("bad rhs seed %r" % parts[2]) from None
+                rhs_seed = parse_integer(parts[2], "bad rhs seed %r" % parts[2])
             elif rhs_rule == RHS_EXPLICIT:
                 rhs_values = tuple(parse_rational(t) for t in parts[2:])
             elif len(parts) != 2:
@@ -336,19 +332,11 @@ def parse_spectrum_lines(lines):
             raise FormatError("rhs line must come last")
         if len(parts) != 3 or parts[2] not in ("active", "inactive"):
             raise FormatError("bad spectrum line %r" % line)
-        try:
-            mult = int(parts[1])
-        except ValueError:
-            raise FormatError("bad multiplicity %r" % parts[1]) from None
+        mult = parse_integer(parts[1], "bad multiplicity in %r" % line)
         items.append((parse_rational(parts[0]), mult, parts[2] == "active"))
     if rhs_rule is None:
         raise FormatError("missing rhs line")
-    try:
-        return SpectrumSpec(
-            tuple(items), rhs_rule=rhs_rule, rhs_values=rhs_values, rhs_seed=rhs_seed
-        )
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return _spectrum(items, rhs_rule, rhs_values, rhs_seed)
 
 
 @any_size

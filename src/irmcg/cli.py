@@ -27,7 +27,7 @@ from .analysis import (
     parse_csv,
     render_report,
 )
-from .arithmetic import BitBudget, parse_decimal
+from .arithmetic import BitBudget, parse_decimal, parse_integer
 from .errors import (
     BudgetExceeded,
     DiagonalRequired,
@@ -238,10 +238,7 @@ def _parse_perturbation(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise FormatError("--perturb wants STEP:COMP:DELTA, got %r" % text)
-    try:
-        step, comp = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FormatError("bad perturbation indices in %r" % text) from None
+    step, comp = (parse_integer(p, "bad perturbation indices in %r" % text) for p in parts[:2])
     return Perturbation(step, comp, parse_decimal(parts[2]))
 
 

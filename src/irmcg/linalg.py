@@ -38,7 +38,6 @@ SPD gate, the eigenvalue estimate) work on the square that
 import itertools
 import math
 import operator
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +50,9 @@ from .arithmetic import (
     BitBudget,
     any_size,
     demote,
+    parse_count,
+    parse_double,
+    parse_integer,
     rational_parts,
     rationalize,
     snap_zero,
@@ -938,7 +940,7 @@ def read_matrix(path):
     del buf
     if count < 2 or words[0] not in ("symmetric", "diagonal"):
         raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
-    symmetric, n = words[0] == "symmetric", _parse_count(words[1])
+    symmetric, n = words[0] == "symmetric", parse_count(words[1])
     want = n * (n + 1) // 2 if symmetric else n
     if count - 2 != want:
         raise FormatError("expected %d entries, found %d" % (want, count - 2))
@@ -1006,7 +1008,7 @@ def read_vector(path):
     tokens = read_text(path).split()
     if len(tokens) < 2 or tokens[0] != "vector":
         raise FormatError("vector file must start with 'vector n'")
-    n = _parse_count(tokens[1])
+    n = parse_count(tokens[1])
     del tokens[:2]
     if len(tokens) != n:
         raise FormatError("expected %d entries, found %d" % (n, len(tokens)))
@@ -1026,23 +1028,12 @@ def _literal_values(tokens):
     return values, den
 
 
-# ASCII grammars of counts and indices, integers, and reals (decimal or
-# scientific; infinity and NaN are read, then refused as not finite).
-_DIGITS_RE = re.compile(r"[0-9]+")
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_REAL_RE = re.compile(
-    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
-    re.IGNORECASE)
-
-
 def _parse_matrix_market(lines):
     """The matrix of a symmetric coordinate Matrix Market file's lines; empties the list.
 
     Integer entries are read exactly, real ones as the exact values of
     their doubles, and both go to numerators over their lcm (``_over_lcm``).
     """
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise FormatError("missing MatrixMarket banner")
     banner = lines[0].split()
     if len(banner) != 5:
         raise FormatError("malformed MatrixMarket banner")
@@ -1059,23 +1050,22 @@ def _parse_matrix_market(lines):
     size = body[0].split()
     if len(size) != 3:
         raise FormatError("malformed size line %r" % body[0])
-    rows, cols, nnz = (_parse_count(t) for t in size)
+    rows, cols, nnz = (parse_count(t) for t in size)
     if rows != cols:
         raise FormatError("matrix is not square: %d x %d" % (rows, cols))
     if len(body) - 1 != nnz:
         raise FormatError("expected %d entries, found %d" % (nnz, len(body) - 1))
     integer = fieldkind == "integer"
-    number = _INTEGER_RE if integer else _REAL_RE
+    number = parse_integer if integer else parse_double
     ii, jj, pairs, seen = [], [], [], set()
     for ln in body[1:]:
         parts = ln.split()
         if len(parts) != 3:
             raise FormatError("malformed entry line %r" % ln)
-        if not (_DIGITS_RE.fullmatch(parts[0]) and _DIGITS_RE.fullmatch(parts[1])
-                and number.fullmatch(parts[2])):
-            raise FormatError("bad number in entry line %r" % ln)
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        x = int(parts[2]) if integer else float(parts[2])
+        try:
+            i, j, x = parse_count(parts[0], 0) - 1, parse_count(parts[1], 0) - 1, number(parts[2])
+        except FormatError:
+            raise FormatError("bad number in entry line %r" % ln) from None
         if not integer and not math.isfinite(x):
             raise FormatError("non-finite value in entry line %r" % ln)
         if not (0 <= i < rows and 0 <= j < rows):
@@ -1092,15 +1082,6 @@ def _parse_matrix_market(lines):
     lines.clear()
     del body, seen
     return SymmetricMatrix._ints(rows, ii, jj, *_over_lcm(pairs))
-
-
-def _parse_count(token):
-    if not _DIGITS_RE.fullmatch(token):
-        raise FormatError("not an integer: %r" % token)
-    value = int(token)
-    if value < 1:
-        raise FormatError("count must be positive, got %d" % value)
-    return value
 
 
 def read_text(path):

@@ -7,7 +7,8 @@ token at a time, and ``fraction_read_matrix_market`` a Matrix Market
 file one ``Fraction`` per entry: the references for
 ``linalg.read_matrix``.  ``fraction_gen_rotated`` is the reference for
 ``benchgen.gen_rotated``, its integer congruence ending in one
-``Fraction`` per entry.
+``Fraction`` per entry.  ``fraction_parse_decimal`` is ``Fraction()`` on
+the text, the reference for ``arithmetic.parse_decimal`` in ASCII.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from irmcg import benchgen, linalg
-from irmcg.arithmetic import any_size
+from irmcg.arithmetic import any_size, parse_count
 from irmcg.errors import DimensionError, FormatError
 
 
@@ -158,7 +159,7 @@ def split_read_matrix(path):
     tokens = linalg.read_text(path).split()
     if len(tokens) < 2 or tokens[0] not in ("symmetric", "diagonal"):
         raise FormatError("matrix file must start with 'symmetric n' or 'diagonal n'")
-    symmetric, n = tokens[0] == "symmetric", linalg._parse_count(tokens[1])
+    symmetric, n = tokens[0] == "symmetric", parse_count(tokens[1])
     del tokens[:2]
     want = n * (n + 1) // 2 if symmetric else n
     if len(tokens) != want:
@@ -178,7 +179,7 @@ def fraction_read_matrix_market(path):
 
     The reference for ``linalg.read_matrix`` on entries in the ASCII
     grammar that both accept; int() and float() also take more, such as
-    ``1_0`` or non-ASCII digits.  Counts go through ``linalg._parse_count``.
+    ``1_0`` or non-ASCII digits.  Counts go through ``arithmetic.parse_count``.
     """
     lines = linalg.read_text(path).splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -199,7 +200,7 @@ def fraction_read_matrix_market(path):
     size = body[0].split()
     if len(size) != 3:
         raise FormatError("malformed size line %r" % body[0])
-    rows, cols, nnz = (linalg._parse_count(t) for t in size)
+    rows, cols, nnz = (parse_count(t) for t in size)
     if rows != cols:
         raise FormatError("matrix is not square: %d x %d" % (rows, cols))
     if len(body) - 1 != nnz:
@@ -267,3 +268,14 @@ def fraction_gen_rotated(spec, plan):
               for k, l in zip(rows.tolist(), cols.tolist())]
     b = [Fraction(vk, w * sk) for vk, sk in zip(v.tolist(), scale)]
     return linalg.SymmetricMatrix(n, rows, cols, values), linalg.Vector.exact(b), spec.m
+
+
+def fraction_parse_decimal(text):
+    """Fraction(text): Python's grammar, wider than the package's in non-ASCII and ``_``.
+
+    Unbounded in the exponent: call it only on text whose exponent is small.
+    """
+    try:
+        return Fraction(str(text).strip())
+    except (ValueError, ZeroDivisionError):
+        raise FormatError("not a number: %r" % text) from None

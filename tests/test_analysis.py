@@ -92,6 +92,12 @@ class TestTraceTypes:
         with pytest.raises(ValueError):
             StepRecord(0, F(-1), None, True, False)
 
+    def test_nan_rr_rejected_nan_energy_kept(self):
+        with pytest.raises(ValueError, match="^rr must be nonnegative$"):
+            StepRecord(1, math.nan, None, False, False)
+        assert math.isnan(StepRecord(1, 1.0, math.nan, False, False).energy)
+        assert StepRecord(1, math.inf, None, False, False).rr == math.inf
+
     def test_record_indices_must_be_consecutive(self):
         records = (
             StepRecord(0, F(4), None, True, False),

@@ -1,18 +1,23 @@
 import math
+import re
 import struct
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import oracles
 from irmcg.arithmetic import (
+    EXPONENT_BOUND,
     BitBudget,
     bit_size,
     demote,
     format_double,
     format_rational,
+    parse_count,
     parse_decimal,
+    parse_double,
+    parse_integer,
     parse_rational,
     rationalize,
     snap_zero,
@@ -162,6 +167,116 @@ class TestDecimalParsing:
     def test_garbage_rejected(self):
         with pytest.raises(FormatError):
             parse_decimal("eps")
+
+    @pytest.mark.parametrize("text", [
+        "\u0663/\u0664", "\uff11e-3", "0_5", "1_000", "1e1_0", "\u0661.5", "inf", "nan",
+        ".", "1/0", "1.5/2", "3 / 4", "", "1" * 4301,
+    ])
+    def test_only_ascii_text_is_read(self, text):
+        with pytest.raises(FormatError, match="not a number"):
+            parse_decimal(text)
+
+    @pytest.mark.parametrize("text, value", [
+        (" 5. ", F(5)), (".5", F(1, 2)), ("+.5e3", F(500)), ("1E+05", F(10**5)),
+        ("-0", F(0)), ("00012.5000e-0003", F(1, 80)), ("-7/14", F(-1, 2)),
+        ("1" * 4300 + ".5", int("1" * 4300) + F(1, 2)),
+    ])
+    def test_ascii_reads_as_fraction_does(self, text, value):
+        assert parse_decimal(text) == value == oracles.fraction_parse_decimal(text)
+
+    def test_exponent_bound(self):
+        assert EXPONENT_BOUND == 4300
+        assert parse_decimal("1e-4300") == F(1, 10**4300)
+        assert parse_decimal("2.5E+4300") == 25 * F(10) ** 4299
+        assert parse_decimal("1e-0000000000000000004300") == F(1, 10**4300)
+        for text in ["1e-4301", "1e4301", "1e-9999999", "1e" + "9" * 5000]:
+            with pytest.raises(FormatError, match="exponent past 4300"):
+                parse_decimal(text)
+
+    @given(st.text(alphabet="0123456789+-./eE \t", max_size=12))
+    def test_matches_fraction_on_ascii(self, text):
+        try:
+            got = parse_decimal(text)
+        except FormatError as exc:
+            assume("exponent" not in str(exc))  # Fraction() would build it
+            with pytest.raises(FormatError, match="not a number"):
+                oracles.fraction_parse_decimal(text)
+            return
+        assert got == oracles.fraction_parse_decimal(text)
+
+
+# The grammars the readers implement, spelled out.
+DIGITS = re.compile(r"[0-9]+")
+INTEGER = re.compile(r"[+-]?[0-9]+")
+DOUBLE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)", re.IGNORECASE)
+
+
+class TestIntegerReaders:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("007", 7), (" 12\n", 12)])
+    def test_index(self, text, value):
+        assert parse_count(text, 0) == value
+
+    @pytest.mark.parametrize("text, value", [("1", 1), ("42", 42), ("1" * 30, int("1" * 30))])
+    def test_count(self, text, value):
+        assert parse_count(text) == value
+
+    @pytest.mark.parametrize("text, value", [("-3", -3), ("+3", 3), ("-0", 0), (" 9 ", 9)])
+    def test_integer(self, text, value):
+        assert parse_integer(text) == value
+
+    @pytest.mark.parametrize("reader", [lambda t: parse_count(t, 0), parse_count, parse_integer])
+    @pytest.mark.parametrize("text", [
+        "\u0663", "\uff13", "1_0", "1.0", "1e3", "", "x", "+-1", "1" * 4301,
+    ])
+    def test_rejects(self, reader, text):
+        with pytest.raises(FormatError, match="^not an integer: "):
+            reader(text)
+
+    @pytest.mark.parametrize("text", ["+1", "-1"])
+    def test_counts_have_no_sign(self, text):
+        with pytest.raises(FormatError, match="^not an integer: "):
+            parse_count(text, 0)
+
+    def test_count_is_positive(self):
+        with pytest.raises(FormatError, match="^count must be positive, got 0$"):
+            parse_count("00")
+
+    @given(st.text(alphabet="0123456789+-_ \t\u0663\uff13", max_size=8))
+    def test_integer_grammar(self, text):
+        if INTEGER.fullmatch(text.strip()):
+            assert parse_integer(text) == int(text)
+        else:
+            with pytest.raises(FormatError):
+                parse_integer(text)
+        if DIGITS.fullmatch(text.strip()):
+            assert parse_count(text, 0) == int(text)
+        else:
+            with pytest.raises(FormatError):
+                parse_count(text, 0)
+
+
+class TestDoubleReader:
+    @given(st.floats())
+    def test_reads_what_format_double_writes(self, x):
+        y = parse_double(format_double(x))
+        assert y == x or (math.isnan(x) and math.isnan(y))
+
+    @pytest.mark.parametrize("text", [
+        "\u0661.5", "\uff11.5", "1_0.5", "1e1_0", "0x10", "", ".", "e5", "in", "nan(1)",
+    ])
+    def test_rejects(self, text):
+        with pytest.raises(FormatError, match="^not a double literal: "):
+            parse_double(text)
+
+    @given(st.text(alphabet="0123456789+-._eEinfatyINFATY \t\u0661\uff11", max_size=10))
+    def test_double_grammar(self, text):
+        if DOUBLE.fullmatch(text.strip()):
+            got, expected = parse_double(text), float(text)
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+        else:
+            with pytest.raises(FormatError):
+                parse_double(text)
 
 
 class TestFormatting:
