@@ -18,6 +18,7 @@ and naturals, integers, doubles, rational literals and human decimals.
 
 import functools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -128,6 +129,18 @@ class BitBudget:
             raise BudgetExceeded(
                 "scalar grew to %d bits (budget %d)" % (bit_size(q), self.max_bits)
             )
+
+
+def as_integer(value, name):
+    """value as an int if it is an integer (int, bool, NumPy integer); else ValueError.
+
+    Counts and indices that Python callers pass go through here, so that
+    2.5 or "3" is refused instead of truncated or written to a trace.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def _read(text, reader, refusal, error=None):

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arithmetic import EXACT, ZERO, any_size, parse_integer, parse_rational
+from .arithmetic import EXACT, ZERO, any_size, as_integer, parse_integer, parse_rational
 from .errors import (
     DimensionError,
     ExactRequired,
@@ -63,7 +63,8 @@ class SpectrumSpec:
 
     def __post_init__(self):
         items = tuple(
-            (Fraction(eig), int(mult), bool(active)) for eig, mult, active in self.items
+            (Fraction(eig), as_integer(mult, "multiplicity"), bool(active))
+            for eig, mult, active in self.items
         )
         object.__setattr__(self, "items", items)
         if not items:
@@ -79,6 +80,8 @@ class SpectrumSpec:
             raise ValueError("unknown rhs rule %r" % self.rhs_rule)
         if self.rhs_rule == RHS_RANDOM and self.rhs_seed is None:
             raise ValueError("random rhs needs a seed")
+        if self.rhs_seed is not None:
+            object.__setattr__(self, "rhs_seed", as_integer(self.rhs_seed, "rhs seed"))
         if self.rhs_rule == RHS_EXPLICIT:
             values = tuple(Fraction(v) for v in (self.rhs_values or ()))
             object.__setattr__(self, "rhs_values", values)
@@ -155,7 +158,9 @@ class RotationPlan:
 
     def __post_init__(self):
         steps = tuple(
-            (int(i), int(j), Fraction(c), Fraction(s)) for i, j, c, s in self.steps
+            (as_integer(i, "rotation index"), as_integer(j, "rotation index"),
+             Fraction(c), Fraction(s))
+            for i, j, c, s in self.steps
         )
         object.__setattr__(self, "steps", steps)
         for i, j, c, s in steps:

@@ -6,6 +6,11 @@ pairs two traces, ``active`` counts the active eigenvalues of a
 diagonal system.  Rerunning an invocation reproduces its output byte
 for byte.
 
+``main`` is one parse and one call: argparse reads each numeric option
+with its ``arithmetic`` reader, whose FormatError it passes on, so a
+malformed number is one ``error:`` line with exit 2 like every other
+refusal; the runners read ``--stiff``, ``--rhs`` and ``--perturb``.
+
 Exit codes: 0 solved, 1 step limit hit without convergence, 2 usage or
 malformed input, 3 matrix not SPD, 4 bit budget exceeded, 5 traces not
 comparable, 6 numerical failure (an f64 overflow or NaN, a breakdown,
@@ -19,7 +24,6 @@ import sys
 from . import benchgen
 from .analysis import (
     BUDGET_EXCEEDED,
-    CONVERGED,
     MAX_STEPS,
     compare,
     count_active,
@@ -27,7 +31,7 @@ from .analysis import (
     parse_csv,
     render_report,
 )
-from .arithmetic import BitBudget, parse_decimal, parse_integer
+from .arithmetic import BitBudget, parse_decimal, parse_double, parse_integer
 from .errors import (
     BudgetExceeded,
     DiagonalRequired,
@@ -86,29 +90,30 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     gen = sub.add_parser("gen", help="fabricate a benchmark system")
+    gen.set_defaults(run=_run_gen)
     gen.add_argument("--spectrum", help="inline spectrum, e.g. 1x2,3/2x1,10x3i")
     gen.add_argument("--spectrum-file", help="spectrum file (see README)")
-    gen.add_argument("--chain", type=int, help="spring chain with this many masses")
+    gen.add_argument("--chain", type=parse_integer, help="spring chain with this many masses")
     gen.add_argument("--stiff", help="comma-separated spring stiffnesses for --chain")
     gen.add_argument(
         "--rhs",
-        default=None,
         help="ones | random | explicit:v1,v2,... (default ones; a spectrum file sets its own)",
     )
-    gen.add_argument("--rotate", type=int, default=0, help="number of seeded rotations")
-    gen.add_argument("--seed", type=int, default=0, help="64-bit seed")
+    gen.add_argument("--rotate", type=parse_integer, default=0, help="number of seeded rotations")
+    gen.add_argument("--seed", type=parse_integer, default=0, help="64-bit seed")
     gen.add_argument("-o", "--out", required=True, help="output directory")
 
     slv = sub.add_parser("solve", help="run a solver and write its trace")
+    slv.set_defaults(run=_run_solve)
     slv.add_argument("matrix", help="matrix file (native or MatrixMarket)")
     slv.add_argument("vector", help="right-hand side file")
     slv.add_argument("--method", choices=METHODS, default="irm-cg")
     slv.add_argument("--arith", choices=("exact", "f64"), default="exact")
-    slv.add_argument("--omega", default="1", help="relaxation factor in (0,2)")
-    slv.add_argument("--eps", default="0", help="relative residual tolerance")
-    slv.add_argument("--refresh-k", type=int, default=None, help="refresh period")
-    slv.add_argument("--max-steps", type=int, default=None, help="step cap (default 100n)")
-    slv.add_argument("--x0", default=None, help="start vector file (default zeros)")
+    slv.add_argument("--omega", type=parse_decimal, default="1", help="relaxation factor in (0,2)")
+    slv.add_argument("--eps", type=parse_decimal, default="0", help="relative residual tolerance")
+    slv.add_argument("--refresh-k", type=parse_integer, help="refresh period")
+    slv.add_argument("--max-steps", type=parse_integer, help="step cap (default 100n)")
+    slv.add_argument("--x0", help="start vector file (default zeros)")
     slv.add_argument("--generator", choices=GENERATORS, default="residual+increment")
     slv.add_argument(
         "--perturb",
@@ -117,24 +122,23 @@ def _build_parser():
         metavar="STEP:COMP:DELTA",
         help="add DELTA to 1-based component COMP of p after step STEP",
     )
-    slv.add_argument("--snap-zero", default=None, help="zero-snap threshold for inputs")
+    slv.add_argument("--snap-zero", type=parse_decimal, help="zero-snap threshold for inputs")
     slv.add_argument("--no-energy", action="store_true", help="skip the energy column")
-    slv.add_argument("--max-bits", type=int, default=1_000_000, help="bit budget")
-    slv.add_argument("--seed", type=int, default=0, help="seed recorded in the trace")
-    slv.add_argument("-o", "--out", default=None, help="trace file (default stdout)")
+    slv.add_argument("--max-bits", type=parse_integer, default=1_000_000, help="bit budget")
+    slv.add_argument("--seed", type=parse_integer, default=0, help="seed recorded in the trace")
+    slv.add_argument("-o", "--out", help="trace file (default stdout)")
 
     cmp_ = sub.add_parser("compare", help="pair two traces of one configuration")
+    cmp_.set_defaults(run=_run_compare)
     cmp_.add_argument("trace_e", help="reference trace (typically exact)")
     cmp_.add_argument("trace_dp", help="trace to compare against it")
-    cmp_.add_argument("--gap", type=float, default=1.0, help="divergence gap in decades")
+    cmp_.add_argument("--gap", type=parse_double, default=1.0, help="divergence gap in decades")
 
     act = sub.add_parser("active", help="count active eigenvalues of a diagonal system")
+    act.set_defaults(run=_run_active)
     act.add_argument("matrix", help="diagonal matrix file")
     act.add_argument("vector", help="right-hand side file")
     return parser
-
-
-_PARSER = _build_parser()
 
 
 def _parse_rhs_option(text, seed):
@@ -153,8 +157,7 @@ def _run_gen(args):
     sources = [args.spectrum, args.spectrum_file, args.chain]
     if sum(s is not None for s in sources) != 1:
         raise FormatError("give exactly one of --spectrum, --spectrum-file, --chain")
-    rhs = args.rhs
-    if args.spectrum_file is not None and rhs is not None:
+    if args.spectrum_file is not None and args.rhs is not None:
         raise FormatError(
             "--rhs does not apply to --spectrum-file: the file's rhs line sets the right-hand side"
         )
@@ -162,16 +165,15 @@ def _run_gen(args):
         raise FormatError("--stiff applies only to --chain")
     if args.chain is not None and args.rotate:
         raise FormatError("--rotate does not apply to --chain: a spring chain is not rotated")
-    seed = args.seed
-    rule, values, rhs_seed = _parse_rhs_option("ones" if rhs is None else rhs, seed)
+    rhs = "ones" if args.rhs is None else args.rhs
+    rule, values, rhs_seed = _parse_rhs_option(rhs, args.seed)
     m = None
     if args.chain is not None:
         if not args.stiff:
             raise FormatError("--chain needs --stiff")
-        n = args.chain
         ks = [parse_decimal(t) for t in args.stiff.split(",")]
-        A = benchgen.gen_spring_chain(n, ks)
-        b = Vector.exact(benchgen.rhs_entries(rule, values, rhs_seed, [True] * n))
+        A = benchgen.gen_spring_chain(args.chain, ks)
+        b = Vector.exact(benchgen.rhs_entries(rule, values, rhs_seed, [True] * args.chain))
     else:
         if args.spectrum is not None:
             spec = benchgen.parse_spectrum_inline(
@@ -179,19 +181,17 @@ def _run_gen(args):
             )
         else:
             spec = benchgen.read_spectrum_file(args.spectrum_file)
-        rotations = args.rotate
-        if rotations:
-            plan = benchgen.random_plan(spec.n, rotations, seed)
+        if args.rotate:
+            plan = benchgen.random_plan(spec.n, args.rotate, args.seed)
             A, b, m = benchgen.gen_rotated(spec, plan)
         else:
             A, b, m = benchgen.gen_diagonal(spec)
-    outdir = args.out
     try:
-        os.makedirs(outdir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise IoError(str(exc)) from None
-    write_matrix(A, os.path.join(outdir, "A.txt"))
-    write_vector(b, os.path.join(outdir, "b.txt"))
+    write_matrix(A, os.path.join(args.out, "A.txt"))
+    write_vector(b, os.path.join(args.out, "b.txt"))
     if m is not None:
         print("m=%d" % m)
     return EXIT_OK
@@ -201,11 +201,9 @@ def _run_solve(args):
     A = read_matrix(args.matrix)
     b = read_vector(args.vector)
     x0 = read_vector(args.x0) if args.x0 else None
-    snap = args.snap_zero
-    if snap is not None:
-        threshold = parse_decimal(snap)
-        A = snap_matrix(A, threshold)
-        b = snap_vector(b, threshold)
+    if args.snap_zero is not None:
+        A = snap_matrix(A, args.snap_zero)
+        b = snap_vector(b, args.snap_zero)
     if args.arith == "f64":
         A = demote_matrix(A)
         b = demote_vector(b)
@@ -213,8 +211,8 @@ def _run_solve(args):
     perturbations = [_parse_perturbation(p) for p in args.perturb]
     cfg = SolverConfig(
         method=args.method,
-        omega=parse_decimal(args.omega),
-        epsilon=parse_decimal(args.eps),
+        omega=args.omega,
+        epsilon=args.eps,
         refresh_k=args.refresh_k,
         max_steps=args.max_steps,
         generator=args.generator,
@@ -257,21 +255,15 @@ def _run_active(args):
     return EXIT_OK
 
 
-_RUNNERS = {
-    "gen": _run_gen,
-    "solve": _run_solve,
-    "compare": _run_compare,
-    "active": _run_active,
-}
+_PARSER = _build_parser()
 
 
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    try:
-        return _RUNNERS[args.subcommand](args)
     except _HANDLED as exc:
         print("error: %s" % exc, file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

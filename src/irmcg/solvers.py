@@ -43,7 +43,7 @@ from .analysis import (
     StepRecord,
     tag_for,
 )
-from .arithmetic import EXACT, BitBudget, demote
+from .arithmetic import EXACT, BitBudget, as_integer, demote
 from .errors import (
     BudgetExceeded,
     DimensionError,
@@ -115,10 +115,12 @@ class SolverConfig:
                 "%s ignores the generator; generator must be %r"
                 % (self.method, GEN_RESIDUAL_INCREMENT)
             )
-        if self.refresh_k is not None and not self.refresh_k >= 1:  # NaN too
-            raise ValueError("refresh_k must be >= 1")
-        if self.max_steps is not None and not self.max_steps >= 1:
-            raise ValueError("max_steps must be >= 1")
+        for name in ("refresh_k", "max_steps"):
+            value = getattr(self, name)
+            if value is not None:
+                if not value >= 1:  # NaN too
+                    raise ValueError("%s must be >= 1" % name)
+                object.__setattr__(self, name, as_integer(value, name))
 
     def resolved(self, field, n):
         """Copy with backend-typed scalars and concrete defaults."""
@@ -169,6 +171,8 @@ class Perturbation:
             raise ValueError("step_index must be nonnegative")
         if self.component_index < 1:
             raise ValueError("component_index is 1-based")
+        for name in ("step_index", "component_index"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
 
 
 def _check_budget(state, cfg):
@@ -381,6 +385,7 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
     ``max_steps``, ``budget_exceeded`` (the offending step is
     discarded), or ``zero_initial_residual`` (empty record list).
     """
+    seed = as_integer(seed, "seed")
     if cfg is None:
         cfg = SolverConfig()
     if x0 is None:

@@ -2,6 +2,7 @@ import io
 import re
 import subprocess
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -156,7 +157,7 @@ class TestSolve:
             capsys,
         )
         assert code == EXIT_OK
-        lines = open(trace_path).read().splitlines()
+        lines = Path(trace_path).read_text().splitlines()
         assert "# termination converged" in lines
         assert lines[-1].startswith("3,0/1,")
 
@@ -422,18 +423,18 @@ class TestCompare:
 
     def test_mismatched_omega_exits_5(self, tmp_path, capsys):
         t1 = self.make_trace(tmp_path, capsys, "a", "--eps", "1e-10")
-        text = open(t1).read().replace("# omega 1/1", "# omega 1/2")
-        t2 = str(tmp_path / "b.csv")
-        open(t2, "w").write(text)
-        code, _, err = run(["compare", t1, t2], capsys)
+        text = Path(t1).read_text().replace("# omega 1/1", "# omega 1/2")
+        t2 = tmp_path / "b.csv"
+        t2.write_text(text)
+        code, _, err = run(["compare", t1, str(t2)], capsys)
         assert code == EXIT_INCOMPARABLE and "error:" in err
 
     def test_bad_flag_is_a_usage_error(self, tmp_path, capsys):
         t1 = self.make_trace(tmp_path, capsys, "a", "--eps", "1e-10")
-        text = open(t1).read()
-        t2 = str(tmp_path / "b.csv")
-        open(t2, "w").write(re.sub(r"(?m)^(1,[^,]*,[^,]*),[01],", r"\1,yes,", text, count=1))
-        code, out, err = run(["compare", t1, t2], capsys)
+        text = Path(t1).read_text()
+        t2 = tmp_path / "b.csv"
+        t2.write_text(re.sub(r"(?m)^(1,[^,]*,[^,]*),[01],", r"\1,yes,", text, count=1))
+        code, out, err = run(["compare", t1, str(t2)], capsys)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: bad row '1,") and "yes" in err
 
@@ -474,7 +475,7 @@ class TestActive:
         a_path, b_path, _ = gen_system(
             tmp_path, capsys, "--spectrum", "3x2", "--rotate", "4", "--seed", "1"
         )
-        assert open(a_path).read() == "diagonal 2\n3\n3\n"
+        assert Path(a_path).read_text() == "diagonal 2\n3\n3\n"
         code, out, _ = run(["active", a_path, b_path], capsys)
         assert code == EXIT_OK and out.strip() == "m=1"
 
