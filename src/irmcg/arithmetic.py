@@ -123,6 +123,7 @@ class BitBudget:
     def __post_init__(self):
         if self.max_bits < 64:
             raise ValueError("bit budget must be at least 64 bits")
+        object.__setattr__(self, "max_bits", as_integer(self.max_bits, "bit budget"))
 
     def check(self, q):
         if bit_size(q) > self.max_bits:

@@ -180,6 +180,7 @@ def random_plan(n, count, seed):
     """Seeded plan of `count` rotations over distinct index pairs."""
     if count < 0:
         raise ValueError("rotation count must be nonnegative, got %d" % count)
+    count = as_integer(count, "rotation count")
     if n < 2:
         return RotationPlan(())
     rng = random.Random(seed)
@@ -261,6 +262,7 @@ def gen_spring_chain(n, stiffnesses):
     """
     if n < 1:
         raise DimensionError("chain needs at least one mass")
+    n = as_integer(n, "chain size")
     ks = [Fraction(k) for k in stiffnesses]
     if len(ks) != n + 1:
         raise DimensionError("need %d stiffnesses for %d masses" % (n + 1, n))

@@ -30,8 +30,14 @@ partial sum is an integer below 2^50, so exact in any order; the rows
 are put back together as ints and reduced over A.den * v.den as
 before.  An f64 matrix goes to BLAS only with all n^2 entries stored,
 when its data is its row-major square, so its sums keep their order
-otherwise.  Dense algorithms (the certificate and the f64 check of the
-SPD gate, the eigenvalue estimate) work on the square that
+otherwise.  An f64 matrix of order 3 or more whose pattern is exactly
+tridiagonal (3n - 2 entries stored, a spring chain with no zero spring)
+also keeps its diagonal and off-diagonal as arrays of their own: its
+matvec forms the products from shifted slices of v, with no gather,
+and adds them in ``reduceat``'s order, so its sums keep reduceat's
+bits, and its SPD gate runs the LDL^T recurrence on the two diagonals
+as a scalar loop.  Dense algorithms (the certificate and the f64 check
+of the SPD gate, the eigenvalue estimate) work on the square that
 ``SymmetricMatrix.full`` returns.
 """
 
@@ -228,10 +234,15 @@ class SymmetricMatrix:
     mostly stored matrix's numerators as the float64 square of 16-bit
     limbs that its matvec multiplies (``_limb_square``, 8 la n^2 bytes
     for la limbs an entry), built on the first matvec (None: not yet).
-    A converted matrix starts with neither.
+    A converted matrix starts with neither.  The _band slot holds an f64
+    matrix of order n >= 3 whose pattern is exactly tridiagonal (3n - 2
+    entries stored) as its diagonal and its off-diagonal, which by
+    symmetry is both the sub- and the super-diagonal: contiguous
+    read-only copies of ``data``, built with the storage, that its
+    matvec and SPD gate read (None for every other matrix).
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "den", "field", "_spd", "_limbs")
+    __slots__ = ("n", "indptr", "indices", "data", "den", "field", "_spd", "_limbs", "_band")
 
     def __init__(self, n, rows, cols, values, field=EXACT):
         """Order-n matrix from lower-triangle coordinates, each given once; the rest is 0."""
@@ -279,6 +290,14 @@ class SymmetricMatrix:
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
         self.n, self.den, self.field, self._spd, self._limbs = n, den, field, None, None
+        self._band = None
+        # Unique positions, 3n - 2 of them, none off the band: all of the band.
+        if field == F64 and n >= 3 and self.data.size == 3 * n - 2 and (
+                np.abs(self.indices - self._rows()).max() <= 1):
+            # Row i's entries lie at 3i - 1, 3i and 3i + 1.
+            self._band = tuple(np.ascontiguousarray(self.data[k::3]) for k in (0, 1))
+            for arr in self._band:
+                arr.flags.writeable = False
 
     @classmethod
     def diagonal(cls, entries, field=EXACT):
@@ -447,10 +466,14 @@ def matvec(A, v):
     (``_limb_matvec``), with no rounding; a sparser one sums its int
     products with ``reduceat``, in blocks of whole rows.  An f64 matrix
     with all n^2 entries stored is, in CSR, its row-major square, so
-    BLAS multiplies its data as it lies; any other sums all its
-    products in one ``reduceat``.
+    BLAS multiplies its data as it lies; a tridiagonal one (``A._band``)
+    forms its products from shifted slices of v, with no gather, and
+    sums them as ``reduceat`` does (``_band_matvec``); any other sums
+    all its products in one ``reduceat``.
     """
     if _lane(A, v) == F64:
+        if A._band is not None:
+            return Vector._f64(_band_matvec(A._band, v._data))
         if A.data.size == A.n * A.n:
             return Vector._f64(A.data.reshape(A.n, A.n) @ v._data)
         return Vector._f64(np.add.reduceat(A.data * v._data[A.indices], A.indptr[:-1]))
@@ -465,6 +488,22 @@ def matvec(A, v):
         products = A.data[lo:hi] * v.num[A.indices[lo:hi]]
         sums.append(np.add.reduceat(products, A.indptr[r0:r1] - lo))
     return Vector._ints(np.concatenate(sums), A.den * v.den)
+
+
+def _band_matvec(band, x):
+    """Tridiagonal band = (diagonal, off-diagonal) times the float64 array x.
+
+    Bit for bit the sums of ``np.add.reduceat``, which adds a row's
+    products a0, a1, a2 (column order) as a0 + (a1 + a2), and a
+    two-product row as a0 + a1.  With e the off-diagonal, row i is
+    (dg_i x_i + e_i x_i+1) + e_i-1 x_i-1 here: the same sums, as IEEE
+    addition commutes.
+    """
+    dg, off = band
+    y = dg * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
 
 
 def _limb_matvec(A, values):
@@ -605,9 +644,12 @@ def spd_check(A, budget=BitBudget()):
     Diagonal matrices: every entry positive.  f64 matrices with at least
     a quarter of their n^2 entries stored: LAPACK's Cholesky of full(),
     whose square then takes at most twice the memory of the stored
-    arrays.  Otherwise every pivot of an LDL^T factorization positive
-    (_spd_ldlt), in floating point for sparser f64 matrices (in time
-    that grows with their envelopes, not their stored entries) and
+    arrays.  Sparser f64 tridiagonal matrices (``A._band``): the LDL^T
+    recurrence of _spd_ldlt as a scalar loop over the diagonals
+    (``_band_ldlt``), with the same pivots and decision.  Otherwise
+    every pivot of an LDL^T factorization positive (_spd_ldlt), in
+    floating point for sparser f64 matrices (in time that grows with
+    their envelopes, not their stored entries) and
     exactly for exact matrices, where a floating-point certificate comes
     first and decides when it can.  The certificate factors the demoted
     square, so it takes O(n^2) memory and O(n^3) time whatever is
@@ -653,6 +695,8 @@ def spd_check(A, budget=BitBudget()):
         ok = all(d > 0 for d in A.data)
     elif A.field == F64 and _mostly_stored(A):
         ok = _cholesky_succeeds(A.full())
+    elif A._band is not None:
+        ok = _band_ldlt(A._band)
     else:
         ok = (A.field == EXACT and _spd_certificate(A)) or _spd_ldlt(A, budget)
     A._spd = ok
@@ -766,6 +810,22 @@ def _spd_ldlt(A, budget):
                 raise BudgetExceeded("SPD check, pivot %d: %s" % (i + 1, exc)) from None
         pivots[i] = d
         rows.append((f, l))
+    return True
+
+
+def _band_ldlt(band):
+    """_spd_ldlt's decision on a tridiagonal band = (diagonal, off-diagonal).
+
+    Row i of its recurrence is l = e / d, then pivot a_ii - e l, with
+    e = a_i,i-1 and d the pivot before: the same IEEE operations, so
+    the same pivots.  Row 0 has no e; a zero one leaves its pivot a_00.
+    """
+    dg, off = band
+    d = 1.0
+    for a, e in zip(dg.tolist(), [0.0, *off.tolist()]):
+        d = a - e * (e / d)
+        if not d > 0:
+            return False
     return True
 
 

@@ -130,6 +130,10 @@ class TestBitBudget:
             BitBudget(63)
         BitBudget(64)
 
+    def test_budget_is_an_integer(self):
+        with pytest.raises(ValueError, match="bit budget must be an integer"):
+            BitBudget(64.5)
+
     def test_check_passes_small_values(self):
         BitBudget(64).check(F(3, 7))
 

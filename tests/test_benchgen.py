@@ -151,6 +151,10 @@ class TestRotationPlan:
         with pytest.raises(ValueError):
             random_plan(5, -3, 0)
 
+    def test_random_plan_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="rotation count must be an integer"):
+            random_plan(5, 2.5, 0)
+
 
 class TestGenRotated:
     def test_two_by_two_exact_entries(self):
@@ -295,6 +299,10 @@ class TestSpringChain:
     def test_rejects_wrong_count(self):
         with pytest.raises(DimensionError):
             gen_spring_chain(2, [1, 1])
+
+    def test_rejects_a_fractional_size(self):
+        with pytest.raises(ValueError, match="chain size must be an integer"):
+            gen_spring_chain(2.5, [1, 1, 1])
 
     # deadline off: the leading-minor oracle is factorial in n.
     @settings(max_examples=25, deadline=None)

@@ -156,6 +156,29 @@ def test_f64_traces_match_pins(name, tmp_path, capsys):
     assert got == {key: pin for key, pin in F64_PINS.items() if key.startswith(name + "/")}
 
 
+# The f64 lane at the benchmark's scale: a spring chain of 1000 masses,
+# solved as perfbench's chain-f64 solves it, energy column included.
+CHAIN_1000 = ["--chain", "1000", "--stiff", ",".join(str(1 + k % 3) for k in range(1001)),
+              "--rhs", "random", "--seed", "190"]
+
+CHAIN_1000_PINS = {
+    "A.txt": "4f49bb5f0bd9c07f78e970a999e00a4aab8b415b18b5cc389127b6c69b819530",
+    "b.txt": "56537b784b29daf12c70bd6e10413975e265fef6e102f51b8f0e3e07ffd2c0db",
+    "f64-0.csv": "2e395d7d172d1b7d7a86cd0a7f3929c8e1f2bf375fdf16a6f349d9ae84496313",
+    "f64-1.csv": "112278e9ce6b417414837e52fe171b2672b5971793decd5156be4e1d0a18a510",
+}
+
+
+def test_f64_chain_at_benchmark_scale_matches_pins(tmp_path, capsys):
+    assert main(["gen", *CHAIN_1000, "-o", str(tmp_path)]) == EXIT_OK
+    a_path, b_path = tmp_path / "A.txt", tmp_path / "b.txt"
+    solves = [(["--arith", "f64", "--method", method, "--eps", "1e-8"], EXIT_OK)
+              for method in ("cg", "irm-cg")]
+    traces = _solved(a_path, b_path, solves, "f64-")
+    capsys.readouterr()
+    assert {p.name: _sha(p) for p in [a_path, b_path, *traces]} == CHAIN_1000_PINS
+
+
 # The benchmark's pins are regenerated with perfbench/make_pins.py; this
 # runs its pins_for for one seed and checks it against perfbench/pins.json.
 # It runs in a subprocess, so perfbench's import-time settings (one BLAS

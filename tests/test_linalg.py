@@ -497,6 +497,84 @@ class TestLimbMatvec:
         assert peak < 2 * 2**20
 
 
+def tridiagonal(diag, off, field=F64):
+    """Symmetric matrix with the given diagonal and off-diagonal (a zero one is not stored)."""
+    n = len(diag)
+    return SymmetricMatrix(n, [*range(n), *range(1, n)], [*range(n), *range(n - 1)],
+                           [*diag, *off], field)
+
+
+# Doubles from subnormals to 2^500 in magnitude, both zeros among them:
+# products of two stay finite, and sums of three cancel or absorb.
+wide_doubles = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1e16, -1e16]),
+    st.floats(-2.0**500, 2.0**500, allow_nan=False, allow_subnormal=True),
+    st.builds(lambda m, e: math.ldexp(m, e), st.floats(-1, 1), st.integers(-1074, 480)),
+)
+
+
+@st.composite
+def band_system(draw):
+    """f64 tridiagonal matrix of order 3 to 40, no off-diagonal zero, and a vector."""
+    n = draw(st.integers(3, 40))
+    diag = draw(st.lists(wide_doubles, min_size=n, max_size=n))
+    off = draw(st.lists(wide_doubles.filter(bool), min_size=n - 1, max_size=n - 1))
+    v = draw(st.lists(wide_doubles, min_size=n, max_size=n))
+    return tridiagonal(diag, off), np.array(v)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestBandMatvec:
+    """An f64 tridiagonal matrix is multiplied on its diagonals, as reduceat sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_system())
+    def test_matches_reduceat_bit_for_bit(self, system):
+        A, v = system
+        assert A._band is not None
+        want = np.add.reduceat(A.data * v[A.indices], A.indptr[:-1])
+        assert bits(matvec(A, Vector.f64(v)).data) == bits(want)
+
+    def test_sums_in_reduceat_order(self):
+        # Row 1 is 1, 1e16, -1e16: reduceat adds 1 + (1e16 - 1e16) = 1.
+        A = tridiagonal([4.0, 1e16, 4.0], [1.0, -1e16])
+        got = matvec(A, Vector.f64([1.0, 1.0, 1.0])).data
+        assert bits(got) == bits([5.0, 1.0, -1e16 + 4.0])
+        assert bits(got) == bits(np.add.reduceat(A.data, A.indptr[:-1]))
+
+    def test_route_needs_an_exact_tridiagonal_of_order_3(self):
+        # A zero spring's off-diagonal is not stored; a corner entry
+        # makes 3n - 2 stored entries that are not the band.
+        zero_spring = tridiagonal([2.0] * 6, [-1.0, -1.0, 0.0, -1.0, -1.0])
+        assert zero_spring.data.size == 3 * 6 - 4
+        corner = SymmetricMatrix(4, [0, 1, 2, 3, 1, 2, 3], [0, 1, 2, 3, 0, 1, 0],
+                                 [4.0] * 4 + [-1.0] * 3, F64)
+        assert corner.data.size == 3 * 4 - 2
+        rotated = demote_matrix(rotated_n60())
+        assert rotated.data.size == 3582
+        for A in (tridiagonal([2.0], []), tridiagonal([2.0, 2.0], [-1.0]), zero_spring,
+                  corner, rotated, gen_spring_chain(5, [1] * 6)):
+            assert A._band is None
+        assert tridiagonal([2.0] * 3, [-1.0] * 2)._band is not None
+
+    def test_each_matrix_has_its_own_diagonals(self):
+        E = gen_spring_chain(50, [1 + k % 3 for k in range(51)])
+        first, second = demote_matrix(E), demote_matrix(E)
+        other = demote_matrix(gen_spring_chain(50, [F(1, 3)] * 51))
+        assert first == second and demote_matrix(first) is first
+        arrays = [a for B in (first, second, other) for a in (B.data, *B._band)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        for B in (first, other):
+            dg, off = B._band
+            assert dg.tolist() == B.diag()
+            assert off.tolist() == [B.entry(i + 1, i) for i in range(49)]
+            assert all(a.flags.c_contiguous and not a.flags.writeable for a in B._band)
+
+
 class TestF64Storage:
     def test_dense_is_read_only_and_symmetric(self):
         A = demote_matrix(random_spd(random.Random(3), 5))
@@ -841,6 +919,27 @@ def sparse_symmetric(draw):
     return SymmetricMatrix.from_rows(rows)
 
 
+@st.composite
+def band_gate_case(draw):
+    """f64 tridiagonal matrix near the SPD boundary, or past it, or random.
+
+    Diagonal entries are |e_i-1| + |e_i| + delta, one delta a matrix: at
+    delta = 0 the matrix is singular in exact arithmetic, so rounding
+    decides; a tiny delta puts it just inside or outside, a negative one
+    makes it indefinite.
+    """
+    n = draw(st.integers(3, 30))
+    off = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=False).filter(bool),
+                        min_size=n - 1, max_size=n - 1))
+    edges = [0.0, *map(abs, off), 0.0]
+    delta = draw(st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, 1e-12, -1e-12]),
+                           st.floats(-10, 10), st.floats(-1e-9, 1e-9), st.floats(1, 10)))
+    diag = [edges[i] + edges[i + 1] + delta for i in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        diag = draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return tridiagonal(diag, off)
+
+
 class TestLdlt:
     """The LDL^T gate works within each row's envelope, in both lanes."""
 
@@ -874,10 +973,23 @@ class TestLdlt:
         assert spd_check(dense) is True and ldlt == []
         semidefinite = demote_matrix(SymmetricMatrix.from_rows([[1, 1], [1, 1]]))
         assert spd_check(semidefinite) is False and ldlt == []
-        chain = demote_matrix(gen_spring_chain(40, [1] * 41))
-        assert spd_check(chain) is True and ldlt == [40]
+        # A tridiagonal one is gated on its diagonals (next two tests);
+        # with one off-diagonal zero the LDL^T gate works its envelope.
+        zero_spring = tridiagonal([2.0] * 40, [-1.0] * 19 + [0.0] + [-1.0] * 19)
+        assert spd_check(zero_spring) is True and ldlt == [40]
 
-    def test_f64_chain_is_gated_in_its_band(self):
+    @settings(max_examples=400, deadline=None)
+    @given(band_gate_case())
+    def test_f64_tridiagonal_decision_is_ldlt(self, A):
+        # The scalar loop over the diagonals runs _spd_ldlt's recurrence.
+        with np.errstate(all="ignore"):  # the envelope LDL^T may overflow a pivot
+            want = _spd_ldlt(A, BitBudget())
+        assert linalg._band_ldlt(A._band) is want
+        if not linalg._mostly_stored(A):
+            assert spd_check(A) is want
+
+    def test_f64_chain_is_gated_in_its_band(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_spd_ldlt", lambda A, budget: pytest.fail("envelope"))
         A = demote_matrix(gen_spring_chain(1000, [1, 2, 3] * 333 + [1, 2]))
         assert spd_check(A) is True
         rows = oracles.unpack(gen_spring_chain(3, [1, 1, 1, 1]))
