@@ -197,7 +197,7 @@ class Vector:
 
 
 def _over_lcm(pairs):
-    """(nums, L): the values p / q of int pairs (p, q), q > 0, as numerators over L.
+    """(nums, L): the values p / q of int pairs (p, q), q != 0, as numerators over L.
 
     L is the lcm of the q's and nums the object array of the p (L / q):
     the values' least common denominator when each p / q is in lowest
@@ -239,10 +239,15 @@ class SymmetricMatrix:
     entries stored) as its diagonal and its off-diagonal, which by
     symmetry is both the sub- and the super-diagonal: contiguous
     read-only copies of ``data``, built with the storage, that its
-    matvec and SPD gate read (None for every other matrix).
+    matvec and SPD gate read (None for every other matrix).  The _diag
+    slot holds the diagonal as ``data`` stores it (float64 entries, or
+    int numerators over ``den``), read-only, built with the storage for
+    ``diag`` and ``diag_solve``.
     """
 
-    __slots__ = ("n", "indptr", "indices", "data", "den", "field", "_spd", "_limbs", "_band")
+    __slots__ = (
+        "n", "indptr", "indices", "data", "den", "field", "_spd", "_limbs", "_band", "_diag",
+    )
 
     def __init__(self, n, rows, cols, values, field=EXACT):
         """Order-n matrix from lower-triangle coordinates, each given once; the rest is 0."""
@@ -279,6 +284,7 @@ class SymmetricMatrix:
         on = rows == cols
         diag = np.zeros(n, dtype=vals.dtype)
         diag[rows[on]] = vals[on]
+        diag.flags.writeable = False
         off = ~on & (vals != 0)
         every = np.arange(n)
         r = np.concatenate((rows[off], cols[off], every))
@@ -290,7 +296,7 @@ class SymmetricMatrix:
         for arr in (self.indptr, self.indices, self.data):
             arr.flags.writeable = False
         self.n, self.den, self.field, self._spd, self._limbs = n, den, field, None, None
-        self._band = None
+        self._band, self._diag = None, diag
         # Unique positions, 3n - 2 of them, none off the band: all of the band.
         if field == F64 and n >= 3 and self.data.size == 3 * n - 2 and (
                 np.abs(self.indices - self._rows()).max() <= 1):
@@ -344,7 +350,9 @@ class SymmetricMatrix:
         return self._values(lo + hit)[0] if hit.size else SCALAR[self.field](0)
 
     def diag(self):
-        return list(self._values(self.indices == self._rows()))
+        if self.field == F64:
+            return list(self._diag)
+        return [Fraction(d, self.den) for d in self._diag.tolist()]
 
     def full(self):
         """Full square copy: a writable ndarray (f64) or a list of rows (exact)."""
@@ -414,6 +422,25 @@ def add_scaled(u, c, v):
     vden = c.denominator * v.den
     den = math.lcm(u.den, vden)
     return Vector._ints(u.num * (den // u.den) + v.num * (c.numerator * (den // vden)), den)
+
+
+def diag_solve(A, v):
+    """D^-1 v for D the diagonal of A, which must have no zero entry.
+
+    Reads the diagonal that A keeps (``A._diag``).  Exact, entry i is
+    (v.num[i] A.den) / (v.den d_i) for the diagonal numerator d_i,
+    reduced on its own, so that ``_over_lcm`` puts the entries over
+    their least common denominator: the diagonal's numerators are
+    mostly coprime, and their lcm would make a whole-vector reduction
+    work on ints of n times their width.
+    """
+    if _lane(A, v) == F64:
+        return Vector._f64(v._data / A._diag)
+    pairs = []
+    for p, q in zip((A.den * v.num).tolist(), (v.den * A._diag).tolist()):
+        g = math.gcd(p, q)
+        pairs.append((p // g, q // g))
+    return Vector._ints(*_over_lcm(pairs), reduce=False)
 
 
 def add_to_entry(v, index, delta):
@@ -777,6 +804,9 @@ def _cholesky_succeeds(square):
     return True
 
 
+# In f64 a ratio or a product may overflow on the way to a pivot that is
+# not > 0 (inf - inf is NaN); the decision reports it, so NumPy stays quiet.
+@np.errstate(over="ignore", invalid="ignore")
 def _spd_ldlt(A, budget):
     """True iff every pivot of A's LDL^T factorization is positive.
 

@@ -55,6 +55,7 @@ from .linalg import (
     Vector,
     add_scaled,
     add_to_entry,
+    diag_solve,
     dot,
     energy,
     ensure_spd,
@@ -175,23 +176,45 @@ class Perturbation:
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
 
 
-def _check_budget(state, cfg):
-    """BudgetExceeded for the first entry of x, r, p, beta past the budget.
+def _check_budget(budget, *vectors):
+    """BudgetExceeded for the first entry of the vectors, in order, past the budget.
 
     Entry num/den in lowest terms has no more bits than num and den, so
     a vector whose den and widest numerator fit is within the budget;
-    only one that does not is checked entry by entry.
+    only one that does not is checked entry by entry.  f64 vectors pass.
     """
-    if state.x.field != EXACT:
-        return
-    budget = cfg.bit_budget
-    for vec in (state.x, state.r, state.p, state.beta):
-        if vec is None:
-            continue
+    for vec in vectors:
+        if vec.field != EXACT:
+            return
         nums = vec.num.tolist()
         if max(vec.den.bit_length(), *map(int.bit_length, nums)) > budget.max_bits:
             for num in nums:
                 budget.check(Fraction(num, vec.den))
+
+
+def _check_leading_entry(budget, coeffs, vectors):
+    """BudgetExceeded if entry 0 of sum_j coeffs[j] vectors[j] is past the budget.
+
+    Called before the combination is formed: when its first entry is
+    past the budget, that entry is the vector's first one past it, and
+    the step stops without forming the vector.  The entry is formed, as
+    one Fraction, only when a bound allows it past the budget.  With
+    coeffs[j] = p_j/q_j (an int or a Fraction) and entry 0 of
+    vectors[j] u_j/d_j, the sum over the denominator prod_j q_j d_j has
+    a numerator and a denominator of no more bits than the bit lengths
+    of all the p_j, q_j, u_j and d_j added up, plus one per term; that
+    sum is the bound.
+    """
+    if vectors[0].field != EXACT:
+        return
+    terms = [(c, v.num[0], v.den) for c, v in zip(coeffs, vectors)]
+    bound = sum(
+        c.numerator.bit_length() + c.denominator.bit_length() + u.bit_length()
+        + d.bit_length() + 1
+        for c, u, d in terms
+    )
+    if bound > budget.max_bits:
+        budget.check(sum(c * Fraction(u, d) for c, u, d in terms))
 
 
 def init(A, b, x0, budget=BitBudget()):
@@ -239,26 +262,28 @@ def _converged_state(state, x1, r1, refreshed, rr):
     )
 
 
-def _ritz_update(dirs, images, gram, rhs, field):
-    """Subspace minimizer over the leading independent directions.
+def _ritz_coefficients(gram, rhs, field):
+    """Subspace minimizer's coefficients on the leading independent directions.
 
-    Solves the projected system gram a = rhs on dirs[:m], dropping the
-    last direction while the system is singular, and returns the
-    increment sum a_j dirs[j] with its A-image sum a_j images[j].
-    Returns None when even the first direction is dependent.
+    Solves the projected system gram a = rhs on the first m directions,
+    dropping the last direction while the system is singular, and
+    returns a (m entries).  Returns None when even the first direction
+    is dependent.
     """
-    for m in range(len(dirs), 0, -1):
+    for m in range(len(rhs), 0, -1):
         try:
-            a = small_solve([row[:m] for row in gram[:m]], rhs[:m], field)
+            return small_solve([row[:m] for row in gram[:m]], rhs[:m], field)
         except SingularRitzSystem:
             continue
-        p1 = vscale(a[0], dirs[0])
-        beta1 = vscale(a[0], images[0])
-        for coeff, f, Af in zip(a[1:], dirs[1:], images[1:]):
-            p1 = add_scaled(p1, coeff, f)
-            beta1 = add_scaled(beta1, coeff, Af)
-        return p1, beta1
     return None
+
+
+def _combination(coeffs, vectors):
+    """sum_j coeffs[j] vectors[j], over as many vectors as there are coefficients."""
+    out = vscale(coeffs[0], vectors[0])
+    for c, v in zip(coeffs[1:], vectors[1:]):
+        out = add_scaled(out, c, v)
+    return out
 
 
 def cg_step(state, A, b, cfg):
@@ -267,7 +292,11 @@ def cg_step(state, A, b, cfg):
     Generalized line search alpha = (p.r)/(p.A p) so the scaled initial
     increment from ``init`` is handled; conjugation uses
     beta = -(r_new.A p)/(p.A p).  Shares the refresh and termination
-    conventions of the other methods.
+    conventions of the other methods.  Unless the step converges, each
+    new exact vector is held to cfg.bit_budget as it is formed (x, r,
+    then p, whose first entry is tried before the vector is formed), so
+    a step past the budget raises BudgetExceeded for its first entry
+    past it in x, r, p without forming what follows.
     """
     if state.converged:
         raise ValueError("cannot step a converged state")
@@ -280,11 +309,13 @@ def cg_step(state, A, b, cfg):
     rr = dot(r1, r1)
     if rr == 0:
         return _converged_state(state, x1, r1, refreshed, rr)
+    budget = cfg.bit_budget
+    _check_budget(budget, x1, r1)
     be = -dot(r1, Ap) / pAp
+    _check_leading_entry(budget, (1, be), (r1, state.p))
     p1 = add_scaled(r1, be, state.p)
-    new = SolverState(state.i + 1, x1, r1, p1, None, state.rr0, refreshed=refreshed, rr=rr)
-    _check_budget(new, cfg)
-    return new
+    _check_budget(budget, p1)
+    return SolverState(state.i + 1, x1, r1, p1, None, state.rr0, refreshed=refreshed, rr=rr)
 
 
 def _directions(generator, r, p, A):
@@ -298,7 +329,7 @@ def _directions(generator, r, p, A):
     elif generator == GEN_RESIDUAL_INCREMENT:
         cand = [r, p]
     else:
-        cand = [Vector(r.data / np.asarray(A.diag()), r.field), p]
+        cand = [diag_solve(A, r), p]
     out = [v for v in cand if not v.is_zero()]
     if not out:
         raise GeneratorError("generator %r emitted no nonzero vectors" % generator)
@@ -318,6 +349,12 @@ def irm_step(state, A, b, cfg):
     weights the p row of the right side by omega; the term vanishes at
     omega = 1, where r is orthogonal to p.  The new increment and its
     A-image are the matching combinations, so beta = A p stays cached.
+    Unless the step converges, each new exact vector is held to
+    cfg.bit_budget as it is formed (x and r before any product or
+    projection, then p, whose first entry is tried as soon as the Ritz
+    coefficients are known, then beta), so a step past the budget
+    raises BudgetExceeded for its first entry past it in x, r, p, beta
+    without forming what follows.
     """
     if state.converged:
         raise ValueError("cannot step a converged state")
@@ -325,6 +362,8 @@ def irm_step(state, A, b, cfg):
     rr = dot(r1, r1)
     if rr == 0:
         return _converged_state(state, x1, r1, refreshed, rr)
+    budget = cfg.bit_budget
+    _check_budget(budget, x1, r1)
     if cfg.method == IRM_CG:
         phi, images = [r1, state.p], [matvec(A, r1), state.beta]
     else:
@@ -340,14 +379,17 @@ def irm_step(state, A, b, cfg):
     rhs = [rr if f is r1 else dot(f, r1) for f in phi]
     if cfg.method == IRM_CG:
         rhs[1] = cfg.omega * rhs[1]
-    update = _ritz_update(phi, images, gram, rhs, x1.field)
-    if update is None:
+    a = _ritz_coefficients(gram, rhs, x1.field)
+    if a is None:
         if cfg.method == IRM_CG:
             raise NumericalBreakdown("r.A r vanished with a nonzero residual")
         raise GeneratorError("all generated vectors were dependent or zero")
-    new = SolverState(state.i + 1, x1, r1, *update, state.rr0, refreshed=refreshed, rr=rr)
-    _check_budget(new, cfg)
-    return new
+    _check_leading_entry(budget, a, phi)
+    p1 = _combination(a, phi)
+    _check_budget(budget, p1)
+    beta1 = _combination(a, images)
+    _check_budget(budget, beta1)
+    return SolverState(state.i + 1, x1, r1, p1, beta1, state.rr0, refreshed=refreshed, rr=rr)
 
 
 def _apply_perturbations(state, A, perturbations, index):
@@ -382,8 +424,11 @@ def solve(A, b, x0=None, cfg=None, perturbations=(), seed=0, observer=None):
     instrumentation hook and has no effect on the run.
 
     Returns (x, trace).  The trace ends with termination ``converged``,
-    ``max_steps``, ``budget_exceeded`` (the offending step is
-    discarded), or ``zero_initial_residual`` (empty record list).
+    ``max_steps``, ``budget_exceeded`` (an exact step formed an entry
+    past cfg.bit_budget: the step stops at the first vector past it and
+    is discarded, so the trace ends at the step before; a converging
+    step is not held to the budget), or ``zero_initial_residual``
+    (empty record list).
     """
     seed = as_integer(seed, "seed")
     if cfg is None:

@@ -36,6 +36,7 @@ from irmcg.linalg import (
     condition_estimate,
     demote_matrix,
     demote_vector,
+    diag_solve,
     dot,
     energy,
     matvec,
@@ -982,8 +983,7 @@ class TestLdlt:
     @given(band_gate_case())
     def test_f64_tridiagonal_decision_is_ldlt(self, A):
         # The scalar loop over the diagonals runs _spd_ldlt's recurrence.
-        with np.errstate(all="ignore"):  # the envelope LDL^T may overflow a pivot
-            want = _spd_ldlt(A, BitBudget())
+        want = _spd_ldlt(A, BitBudget())
         assert linalg._band_ldlt(A._band) is want
         if not linalg._mostly_stored(A):
             assert spd_check(A) is want
@@ -995,6 +995,42 @@ class TestLdlt:
         rows = oracles.unpack(gen_spring_chain(3, [1, 1, 1, 1]))
         rows[1][1] = F(1)  # leading minors 2, 1, 0: semidefinite
         assert _spd_ldlt(demote_matrix(SymmetricMatrix.from_rows(rows)), BitBudget()) is False
+
+    def test_f64_envelope_gate_decides_an_overflow_quietly(self):
+        # An n=20 arrow: a_00 = 10^-300, a_19,0 = 10^10, else the identity.
+        # Pivot 19 is 1 - 10^20 / 10^-300, whose ratio overflows in f64;
+        # warnings are errors in this suite, so a NumPy warning would raise.
+        n = 20
+        A = SymmetricMatrix(n, [*range(n), n - 1], [*range(n), 0],
+                            [F(1, 10**300), *[1] * (n - 1), 10**10])
+        D = demote_matrix(A)
+        assert D._band is None and not linalg._mostly_stored(D)
+        assert spd_check(D) is False
+        assert spd_check(A) is False
+
+
+class TestDiagSolve:
+    """D^-1 v reads the diagonal A keeps, and matches A.diag() in both lanes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_symmetric(), st.data())
+    def test_matches_division_by_diag(self, A, data):
+        assert A.diag() == [A.entry(i, i) for i in range(A.n)]
+        assume(0 not in A.diag())
+        v = Vector.exact(data.draw(exact_lists(A.n)))
+        assert diag_solve(A, v) == Vector.exact(list(v.data / np.asarray(A.diag())))
+        D = demote_matrix(A)
+        w = demote_vector(Vector.exact(data.draw(st.lists(small_fractions, min_size=A.n,
+                                                          max_size=A.n))))
+        assert [bits(d) for d in D.diag()] == [bits(D.entry(i, i)) for i in range(D.n)]
+        want = w.data / np.asarray(D.diag())
+        assert bits(diag_solve(D, w).data) == bits(want)
+
+    def test_rotated_n60(self):
+        A, b = rotated_n60(), Vector.exact([F(k - 30, k + 1) for k in range(60)])
+        assert diag_solve(A, b) == Vector.exact(list(b.data / np.asarray(A.diag())))
+        D, w = demote_matrix(A), demote_vector(b)
+        assert bits(diag_solve(D, w).data) == bits(w.data / np.asarray(D.diag()))
 
 
 class TestEnergy:

@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -319,9 +320,9 @@ class TestRitzUpdate:
         r, p = Vector.exact([1, 1]), Vector.exact([2, 2])
         Ar, Ap = matvec(A, r), matvec(A, p)
         gram = [[dot(r, Ar), dot(r, Ap)], [dot(r, Ap), dot(p, Ap)]]
-        got = solvers_module._ritz_update([r, p], [Ar, Ap], gram, [F(2), F(1)], EXACT)
-        a = F(2) / dot(r, Ar)
-        assert got == (vscale(a, r), vscale(a, Ar))
+        a = solvers_module._ritz_coefficients(gram, [F(2), F(1)], EXACT)
+        assert a == [F(2) / dot(r, Ar)]
+        assert solvers_module._combination(a, [r, p]) == vscale(a[0], r)
 
     def test_dependent_first_direction(self):
         # r.A r underflows to 0.0 while r.r does not, and p = 0.
@@ -330,7 +331,7 @@ class TestRitzUpdate:
         zero = Vector.zeros(1, F64)
         state = SolverState(1, zero, demote_vector(Vector.exact([F(1, 10**20)])), zero, zero, 1.0)
         r, Ar = state.r, matvec(A, state.r)
-        assert solvers_module._ritz_update([r], [Ar], [[dot(r, Ar)]], [dot(r, r)], F64) is None
+        assert solvers_module._ritz_coefficients([[dot(r, Ar)]], [dot(r, r)], F64) is None
         with pytest.raises(GeneratorError):
             irm_step(state, A, b, SolverConfig(method=IRM).resolved(F64, 1))
         with pytest.raises(NumericalBreakdown):
@@ -440,40 +441,138 @@ def _per_entry_budget_scan(state, cfg):
             cfg.bit_budget.check(entry)
 
 
-class TestBitBudget:
-    """The per-vector bit test, and its per-entry fallback."""
+def _whole_state_scan(monkeypatch):
+    """Make steps form their whole state unchecked, then scan it entry by entry.
 
-    @staticmethod
-    def state_of(entries):
-        v = Vector.exact(entries)
-        return SolverState(1, v, v, v, v, F(1))
+    This is the reference the in-step checks must agree with: a step
+    that converges is not scanned, any other is, x, r, p, beta in order.
+    """
+    monkeypatch.setattr(solvers_module, "_check_budget", lambda budget, *vectors: None)
+    monkeypatch.setattr(solvers_module, "_check_leading_entry", lambda *args: None)
+    for name in ("cg_step", "irm_step"):
+        step = getattr(solvers_module, name)
+
+        def scanned(state, A, b, cfg, step=step):
+            new = step(state, A, b, cfg)
+            if not new.converged:
+                _per_entry_budget_scan(new, cfg)
+            return new
+
+        monkeypatch.setattr(solvers_module, name, scanned)
+
+
+def _rotated_12():
+    spec = SpectrumSpec(tuple((k, 2, True) for k in range(1, 7)), rhs_rule=RHS_RANDOM,
+                        rhs_seed=3)
+    A, b, _ = gen_rotated(spec, random_plan(spec.n, 30, 3))
+    return A, b
+
+
+class TestBitBudget:
+    """The per-vector bit test, its per-entry fallback, and where a step stops."""
 
     def test_lcm_denominator_past_the_budget_is_not_an_entry_past_it(self):
         # 1/p for four primes p of 31 bits: a 124-bit lcm, 31-bit entries.
-        entries = [F(1, p) for p in _primes_above(2**30, 4)]
-        state = self.state_of(entries)
-        assert state.x.den.bit_length() > 64
-        solvers_module._check_budget(state, resolved(4, bit_budget=BitBudget(64)))
+        v = Vector.exact([F(1, p) for p in _primes_above(2**30, 4)])
+        assert v.den.bit_length() > 64
+        solvers_module._check_budget(BitBudget(64), v, v)
 
     def test_one_entry_one_bit_past_the_budget(self):
-        state = self.state_of([F(1, 3), F(2**64, 5), F(7)])
+        v = Vector.exact([F(1, 3), F(2**64, 5), F(7)])
         with pytest.raises(BudgetExceeded) as exc:
-            solvers_module._check_budget(state, resolved(3, bit_budget=BitBudget(64)))
+            solvers_module._check_budget(BitBudget(64), Vector.exact([1, 2, 3]), v)
         assert str(exc.value) == "scalar grew to 65 bits (budget 64)"
-        solvers_module._check_budget(state, resolved(3, bit_budget=BitBudget(65)))
+        solvers_module._check_budget(BitBudget(65), v)
 
-    @pytest.mark.parametrize("method, omega, bits", [
-        (CG, 1, 64), (IRM_CG, F(3, 2), 1024), (IRM_CG, F(19, 10), 1024), (IRM, F(1, 2), 2048),
+    def test_leading_entry_is_formed_only_past_its_bound(self, monkeypatch):
+        u, v = Vector.exact([F(2**70, 3), 1]), Vector.exact([F(1, 5), 2])
+        coeffs = (F(3, 7), F(-2**30, 11))
+        entry = coeffs[0] * u[0] + coeffs[1] * v[0]
+        bits = entry.numerator.bit_length()
+        assert entry == F(55 * 2**70 - 7 * 2**30, 385) and bits == 76
+        with pytest.raises(BudgetExceeded) as exc:
+            solvers_module._check_leading_entry(BitBudget(bits - 1), coeffs, (u, v))
+        assert str(exc.value) == "scalar grew to 76 bits (budget 75)"
+        solvers_module._check_leading_entry(BitBudget(bits), coeffs, (u, v))
+        # The bound counts denominators too: here they carry all the bits.
+        w = Vector.exact([F(1, 2**100), F(1, 3)])
+        with pytest.raises(BudgetExceeded, match="101 bits"):
+            solvers_module._check_leading_entry(BitBudget(100), (1,), (w,))
+        # Far below the budget the bound decides, and no entry is formed.
+        monkeypatch.setattr(BitBudget, "check", lambda self, q: pytest.fail("entry formed"))
+        solvers_module._check_leading_entry(BitBudget(), coeffs, (u, v))
+        f64 = demote_vector(u)
+        solvers_module._check_leading_entry(BitBudget(64), (2.0**200,), (f64,))
+
+    @pytest.mark.parametrize("method, omega, generator, bits, first", [
+        pytest.param(CG, 1, GEN_RESIDUAL_INCREMENT, 64, "p", id="cg-1-64"),
+        pytest.param(IRM_CG, F(3, 2), GEN_RESIDUAL_INCREMENT, 1024, "p", id="irm-cg-omega1-1024"),
+        pytest.param(IRM_CG, F(19, 10), GEN_RESIDUAL_INCREMENT, 1024, "p",
+                     id="irm-cg-omega2-1024"),
+        pytest.param(IRM, F(1, 2), GEN_RESIDUAL_INCREMENT, 2048, "p", id="irm-omega3-2048"),
+        # Jacobi directions; at omega = 1 the first step is the one discarded.
+        pytest.param(IRM, F(1, 2), GEN_JACOBI, 2048, "p", id="irm-jacobi-1/2-2048"),
+        pytest.param(IRM, 1, GEN_JACOBI, 1024, "p", id="irm-jacobi-1-1024"),
+        # x, then r, is the first vector past the budget.
+        pytest.param(IRM_CG, F(3, 2), GEN_RESIDUAL_INCREMENT, 224, "x", id="irm-cg-3/2-224-x"),
+        pytest.param(IRM_CG, F(3, 2), GEN_RESIDUAL_INCREMENT, 73, "r", id="irm-cg-3/2-73-r"),
     ])
-    def test_runs_stop_where_the_per_entry_scan_stops(self, method, omega, bits, monkeypatch):
-        spec = SpectrumSpec(tuple((k, 2, True) for k in range(1, 7)), rhs_rule=RHS_RANDOM,
-                            rhs_seed=3)
-        A, b, _ = gen_rotated(spec, random_plan(spec.n, 30, 3))
-        cfg = exact_cfg(method=method, omega=omega, bit_budget=BitBudget(bits))
-        _, trace = solve(A, b, cfg=cfg)
-        assert trace.termination == BUDGET_EXCEEDED and trace.steps >= 1
-        monkeypatch.setattr(solvers_module, "_check_budget", _per_entry_budget_scan)
+    def test_runs_stop_where_the_per_entry_scan_stops(self, method, omega, generator, bits,
+                                                      first, monkeypatch):
+        A, b = _rotated_12()
+        cfg = exact_cfg(method=method, omega=omega, generator=generator,
+                        bit_budget=BitBudget(bits))
+        states = [init(A, b, Vector.zeros(A.n, EXACT))]
+        _, trace = solve(A, b, cfg=cfg, observer=lambda _, new: states.append(new))
+        assert trace.termination == BUDGET_EXCEEDED and trace.steps == len(states) - 1
+        step, rcfg = cg_step if method == CG else irm_step, cfg.resolved(EXACT, A.n)
+        with pytest.raises(BudgetExceeded) as got:
+            step(states[-1], A, b, rcfg)
+        # The case is what it says: the discarded step's first vector past the budget.
+        full = step(states[-1], A, b, replace(rcfg, bit_budget=BitBudget()))
+        assert first == next(name for name in ("x", "r", "p", "beta") if any(
+            max(q.numerator.bit_length(), q.denominator.bit_length()) > bits
+            for q in getattr(full, name).data))
+        _whole_state_scan(monkeypatch)
         assert solve(A, b, cfg=cfg)[1] == trace
+        with pytest.raises(BudgetExceeded) as want:
+            getattr(solvers_module, step.__name__)(states[-1], A, b, rcfg)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("method", [CG, IRM_CG])
+    def test_a_converging_step_is_not_held_to_the_budget(self, method):
+        # One distinct eigenvalue: the first step converges, with x = b / 3
+        # of 71 bits, past a 64-bit budget.
+        A = SymmetricMatrix.diagonal([3, 3])
+        b = Vector.exact([2**70 + 1, 1])
+        x, trace = solve(A, b, cfg=exact_cfg(method=method, bit_budget=BitBudget(64)))
+        assert trace.termination == CONVERGED and trace.steps == 1
+        assert x == Vector.exact([F(2**70 + 1, 3), F(1, 3)])
+        assert max(q.numerator.bit_length() for q in x.data) > 64
+
+    def test_a_step_past_the_budget_at_its_leading_entry_forms_no_p_or_beta(self, monkeypatch):
+        # irm-cg at omega = 19/10 on the rotated n=12 system: x and r of
+        # step 3 fit 1024 bits, entry 0 of its p does not.
+        A, b = _rotated_12()
+        cfg = exact_cfg(method=IRM_CG, omega=F(19, 10), bit_budget=BitBudget(1024))
+        states = []
+        _, trace = solve(A, b, cfg=cfg, observer=lambda _, new: states.append(new))
+        assert trace.termination == BUDGET_EXCEEDED and trace.steps == 2
+        rcfg = cfg.resolved(EXACT, A.n)
+        calls = []
+        for name in ("vscale", "add_scaled"):
+            real = getattr(solvers_module, name)
+            monkeypatch.setattr(solvers_module, name,
+                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        with pytest.raises(BudgetExceeded) as got:
+            irm_step(states[-1], A, b, rcfg)
+        # Only x and r were formed (x + omega p, r - omega beta).
+        assert calls == ["add_scaled", "add_scaled"]
+        monkeypatch.undo()
+        _whole_state_scan(monkeypatch)
+        with pytest.raises(BudgetExceeded) as want:
+            solvers_module.irm_step(states[-1], A, b, rcfg)
+        assert str(got.value) == str(want.value)
 
 
 def test_f64_overflow_raises_without_numpy_warnings():
